@@ -248,8 +248,8 @@ int Sanitized() {
 ///    candidates, RouteMany against the next point's ~45 candidate targets
 ///    under the Eq.-derived bound (one shared target set per column, which
 ///    is what the CH corridor reuse amortizes);
-///  - "expand": ExpandPath's point-to-point Route1 calls at the 12 km cap,
-///    where the CH forward join tightens or refutes the search.
+///  - "expand": the path expansion's point-to-point Route1 calls at the 12 km
+///    cap, where the CH forward join tightens or refutes the search.
 ///
 /// Both run cold (no CachedRouter): this isolates the backend, and cold
 /// misses are exactly where the backend choice matters in production.

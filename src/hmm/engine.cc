@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "core/logging.h"
-#include <cstdio>
-#include <cstdlib>
 
 namespace lhmm::hmm {
 
@@ -35,41 +33,83 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
   EngineResult result;
   if (t.empty()) return result;
 
-  obs_->BeginTrajectory(t);
-  trans_->BeginTrajectory(t);
-
   // Step 1: candidate preparation. Points with no candidates in range are
   // dropped from the DP (they count as misses in the hitting ratio).
   std::vector<CandidateSet> cands;
   std::vector<int> point_index;
-  for (int i = 0; i < t.size(); ++i) {
-    CandidateSet cs = obs_->Candidates(t, i, config_.k);
-    if (cs.empty()) continue;
-    cands.push_back(std::move(cs));
-    point_index.push_back(i);
-  }
+  PrepareCandidates(t, 0, &cands, &point_index);
   const int m = static_cast<int>(cands.size());
   if (m == 0) return result;
 
+  // Steps 2+3: Viterbi with the shortcut pass (when enabled).
+  Decoding d = Decode(t, point_index, &cands, /*pinned_start=*/false);
+  for (const int s : d.breaks) {
+    result.gap_seconds += t[point_index[s]].t - t[point_index[s - 1]].t;
+  }
+
+  // Path expansion: the chosen chain joined by its connecting routes.
+  result.matched.resize(m);
+  for (int s = 0; s < m; ++s) {
+    const Candidate& c = cands[s][d.chosen[s]];
+    result.matched[s] = c.segment;
+    if (s == 0) {
+      result.path.push_back(c.segment);
+    } else {
+      AppendLeg(cands[s - 1][d.chosen[s - 1]], c, d.straight[s], &result.path);
+    }
+  }
+
+  const double span = t[point_index[m - 1]].t - t[point_index[0]].t;
+  result.gap_coverage =
+      span > 0.0 ? std::max(0.0, 1.0 - result.gap_seconds / span) : 1.0;
+  result.candidates = std::move(cands);
+  result.point_index = std::move(point_index);
+  result.breaks = std::move(d.breaks);
+  return result;
+}
+
+void Engine::PrepareCandidates(const traj::Trajectory& t, int first,
+                               std::vector<CandidateSet>* cands,
+                               std::vector<int>* point_index) {
+  obs_->BeginTrajectory(t);
+  trans_->BeginTrajectory(t);
+  for (int i = first; i < t.size(); ++i) {
+    CandidateSet cs = obs_->Candidates(t, i, config_.k);
+    if (cs.empty()) continue;
+    cands->push_back(std::move(cs));
+    point_index->push_back(i);
+  }
+}
+
+Decoding Engine::Decode(const traj::Trajectory& t,
+                        const std::vector<int>& point_index,
+                        std::vector<CandidateSet>* cands_ptr, bool pinned_start) {
+  std::vector<CandidateSet>& cands = *cands_ptr;
+  const int m = static_cast<int>(cands.size());
+  CHECK_GT(m, 0);
+  Decoding d;
+
   // Straight-line hop between consecutive retained points, for Eq. (3)-style
   // features and for the route search bound.
-  std::vector<double> straight(m, 0.0);
+  d.straight.assign(m, 0.0);
   for (int s = 1; s < m; ++s) {
-    straight[s] =
+    d.straight[s] =
         geo::Distance(t[point_index[s - 1]].pos, t[point_index[s]].pos);
   }
 
-  // Step 2+3: forward Viterbi (Algorithm 1) with the shortcut optimization
+  // Forward Viterbi (Algorithm 1) with the shortcut optimization
   // (Algorithm 2) interleaved: after filling f/pre for step s from C_{s-1},
   // shortcuts from C_{s-2} may improve f[s] before step s+1 reads it. This
   // strictly dominates the paper's run-Alg2-after-Alg1 formulation (no stale
-  // f entries) while evaluating the same Eq. (20)-(21) scores.
+  // f entries) while evaluating the same Eq. (20)-(21) scores. A pinned start
+  // (the online anchor) scores 0: its observation is a constant offset that
+  // cannot change the argmax.
   std::vector<std::vector<double>> f(m);
   std::vector<std::vector<int>> pre(m);
   f[0].resize(cands[0].size());
   pre[0].assign(cands[0].size(), -1);
   for (size_t j = 0; j < cands[0].size(); ++j) {
-    f[0][j] = cands[0][j].observation;  // Algorithm 1 line 5.
+    f[0][j] = pinned_start ? 0.0 : cands[0][j].observation;  // Alg. 1 line 5.
   }
 
   // Transition weights W(c_{s-1}^j -> c_s^k2) over the *original*
@@ -80,7 +120,7 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
   for (int s = 1; s < m; ++s) {
     const int prev_n = static_cast<int>(cands[s - 1].size());
     const int cur_n = static_cast<int>(cands[s].size());
-    const double bound = RouteBound(straight[s]);
+    const double bound = RouteBound(d.straight[s]);
 
     cur_segments_.resize(cur_n);
     for (int k2 = 0; k2 < cur_n; ++k2) cur_segments_[k2] = cands[s][k2].segment;
@@ -92,9 +132,13 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
 
     // Phase 1: fill the weight arena (one RouteMany per predecessor over the
     // shared target list — the column shape CHRouter's corridor reuse keys
-    // on). Model calls happen in the same (j, k2) order as the fused loop
-    // they replace, so stateful models observe an identical call sequence.
+    // on). Model calls happen in (j, k2) order, so stateful models observe a
+    // fixed call sequence. Without shortcuts a row whose f is -inf is
+    // skipped before its route query: all its scores would be -inf, which
+    // the column kernel skips anyway. Algorithm 2 ranks predecessors over
+    // the full matrix, so with shortcuts every row is filled.
     for (int j = 0; j < prev_n; ++j) {
+      if (!config_.use_shortcuts && f[s - 1][j] == kNegInf) continue;
       const Candidate& prev = cands[s - 1][j];
       const std::vector<std::optional<network::Route>> routes =
           router_->RouteMany(prev.segment, cur_segments_, bound);
@@ -103,7 +147,7 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
         const network::Route* route =
             routes[k2].has_value() ? &routes[k2].value() : nullptr;
         const double pt = trans_->Transition(t, point_index[s - 1], point_index[s],
-                                             prev, cur, route, straight[s]);
+                                             prev, cur, route, d.straight[s]);
         const double weight = pt * cur.observation;  // Eq. (13).
         w_cur_.Set(j, k2, weight, route != nullptr);
       }
@@ -120,8 +164,8 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
     // or a routing hole/outage — the whole tail of the DP would stay at -inf
     // and the backward pass would emit garbage. Instead, restart Viterbi
     // here exactly as at step 0 (score = observation, no predecessor); the
-    // backward pass already treats pre = -1 as a restart, so the trajectory
-    // splits into independently matched sub-paths stitched by ExpandPath.
+    // backward pass treats pre = -1 as a restart, so the trajectory splits
+    // into independently matched sub-paths stitched by the path expansion.
     // On break-free input no column is all -inf and nothing changes.
     bool reachable = false;
     for (const double v : f[s]) {
@@ -134,8 +178,7 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
       for (size_t k2 = 0; k2 < cands[s].size(); ++k2) {
         f[s][k2] = cands[s][k2].observation;
       }
-      result.breaks.push_back(s);
-      result.gap_seconds += t[point_index[s]].t - t[point_index[s - 1]].t;
+      d.breaks.push_back(s);
     }
   }
 
@@ -144,10 +187,10 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
   for (size_t j = 1; j < f[m - 1].size(); ++j) {
     if (f[m - 1][j] > f[m - 1][best_last]) best_last = static_cast<int>(j);
   }
-  std::vector<int> chosen(m, -1);
-  chosen[m - 1] = best_last;
+  d.chosen.assign(m, -1);
+  d.chosen[m - 1] = best_last;
   for (int s = m - 1; s > 0; --s) {
-    int p = pre[s][chosen[s]];
+    int p = pre[s][d.chosen[s]];
     if (p < 0) {
       // Disconnected step: restart from this point's best candidate.
       p = 0;
@@ -155,21 +198,9 @@ EngineResult Engine::Match(const traj::Trajectory& t) {
         if (f[s - 1][j] > f[s - 1][p]) p = static_cast<int>(j);
       }
     }
-    chosen[s - 1] = p;
+    d.chosen[s - 1] = p;
   }
-
-  std::vector<Candidate> chain(m);
-  for (int s = 0; s < m; ++s) chain[s] = cands[s][chosen[s]];
-
-  result.candidates = std::move(cands);
-  result.point_index = point_index;
-  result.matched.resize(m);
-  for (int s = 0; s < m; ++s) result.matched[s] = chain[s].segment;
-  result.path = ExpandPath(chain, straight);
-  const double span = t[point_index[m - 1]].t - t[point_index[0]].t;
-  result.gap_coverage =
-      span > 0.0 ? std::max(0.0, 1.0 - result.gap_seconds / span) : 1.0;
-  return result;
+  return d;
 }
 
 void Engine::ShortcutPass(const traj::Trajectory& t, int s,
@@ -252,16 +283,6 @@ void Engine::ShortcutPass(const traj::Trajectory& t, int s,
                         cur.observation;
       if (leg1p == nullptr || leg2p == nullptr) continue;
       const double f_prime = (*f)[s - 2][j] + w1 + w2;
-      if (getenv("LHMM_DEBUG_SC")) {
-        // Per-instance counters: engines run concurrently in batch matching,
-        // so diagnostics must never live in shared statics.
-        ++sc_evaluated_;
-        if (f_prime > (*f)[s][k2]) ++sc_improved_;
-        if (sc_evaluated_ % 5000 == 0)
-          fprintf(stderr, "SC total=%lld wins=%lld\n",
-                  static_cast<long long>(sc_evaluated_),
-                  static_cast<long long>(sc_improved_));
-      }
       if (f_prime > (*f)[s][k2]) {
         // Append the projected candidate to C_{s-1} and relink the tables.
         (*cands)[s - 1].push_back(u);
@@ -276,31 +297,20 @@ void Engine::ShortcutPass(const traj::Trajectory& t, int s,
   }
 }
 
-std::vector<network::SegmentId> Engine::ExpandPath(
-    const std::vector<Candidate>& chain, const std::vector<double>& straight) {
-  std::vector<network::SegmentId> path;
-  if (chain.empty()) return path;
-  path.push_back(chain[0].segment);
-  for (size_t s = 1; s < chain.size(); ++s) {
-    const double bound = RouteBound(straight[s]);
-    const std::optional<network::Route> route =
-        router_->Route1(chain[s - 1].segment, chain[s].segment,
-                        std::max(bound, config_.route_bound_beta));
-    if (route.has_value()) {
-      for (network::SegmentId sid : route->segments) {
-        if (path.back() != sid) path.push_back(sid);
-      }
-    } else if (path.back() != chain[s].segment) {
-      path.push_back(chain[s].segment);  // Discontinuity; keep going.
+bool Engine::AppendLeg(const Candidate& from, const Candidate& to,
+                       double straight, std::vector<network::SegmentId>* path) {
+  const std::optional<network::Route> route =
+      router_->Route1(from.segment, to.segment,
+                      std::max(RouteBound(straight), config_.route_bound_beta));
+  if (route.has_value()) {
+    for (network::SegmentId sid : route->segments) {
+      if (path->empty() || path->back() != sid) path->push_back(sid);
     }
+    return false;
   }
-  // Remove immediate backtracks (a->b->a) that expansion can introduce.
-  std::vector<network::SegmentId> cleaned;
-  for (network::SegmentId sid : path) {
-    if (!cleaned.empty() && cleaned.back() == sid) continue;
-    cleaned.push_back(sid);
-  }
-  return cleaned;
+  if (!path->empty() && path->back() == to.segment) return false;
+  path->push_back(to.segment);  // Discontinuity; keep going.
+  return true;
 }
 
 }  // namespace lhmm::hmm

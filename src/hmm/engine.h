@@ -47,11 +47,24 @@ struct EngineResult {
   int num_breaks() const { return static_cast<int>(breaks.size()); }
 };
 
+/// The output of one decode step: the Viterbi choice per retained point.
+struct Decoding {
+  /// Chosen candidate index per retained point (into the candidate sets the
+  /// decode ran over, including any the shortcut pass appended).
+  std::vector<int> chosen;
+  /// Retained-point positions where the DP restarted (EngineResult::breaks).
+  std::vector<int> breaks;
+  /// Straight-line hop from retained point s-1 to s (0 at s = 0); drives the
+  /// route search bounds of the decode and of the path expansion.
+  std::vector<double> straight;
+};
+
 /// The HMM path-finding framework: candidate preparation, candidate graph
 /// construction, Viterbi (Algorithm 1), and the shortcut optimization
 /// (Algorithm 2). Observation and transition probabilities are pluggable, so
 /// every HMM-family matcher in this library — classical baselines and LHMM —
-/// runs through this one engine.
+/// runs through this one engine, offline via Match() and online through
+/// hmm::OnlineMatcher, which drives the same Decode() over its window.
 class Engine {
  public:
   /// All pointers must outlive the engine. The router is shared so its
@@ -61,6 +74,29 @@ class Engine {
 
   /// Matches one (preprocessed) cellular trajectory.
   EngineResult Match(const traj::Trajectory& t);
+
+  /// Candidate preparation: begins `t` on both models, then appends the
+  /// candidate set of every point in [first, t.size()) that has one, with the
+  /// point's trajectory index. Points with no candidate in range are skipped.
+  void PrepareCandidates(const traj::Trajectory& t, int first,
+                         std::vector<CandidateSet>* cands,
+                         std::vector<int>* point_index);
+
+  /// The decode step: forward Viterbi (Algorithm 1) over the non-empty
+  /// candidate sets `cands` of the retained points `point_index`, with
+  /// Algorithm 2 interleaved when use_shortcuts is set (it may append
+  /// projected candidates to `cands`), restart on unreachable columns, and
+  /// the restart-aware backward pass. `pinned_start` scores the first point's
+  /// candidates 0 instead of their observation (an online anchor).
+  Decoding Decode(const traj::Trajectory& t, const std::vector<int>& point_index,
+                  std::vector<CandidateSet>* cands, bool pinned_start);
+
+  /// Path expansion of one hop: appends the segments of the route from `from`
+  /// to `to` to `path`, skipping consecutive duplicates. When no route exists
+  /// within the bound, appends `to`'s segment instead and returns true if
+  /// that stitched a discontinuity (the segment differs from the path tail).
+  bool AppendLeg(const Candidate& from, const Candidate& to, double straight,
+                 std::vector<network::SegmentId>* path);
 
   const EngineConfig& config() const { return config_; }
   EngineConfig* mutable_config() { return &config_; }
@@ -72,7 +108,7 @@ class Engine {
   /// shared static.
   int64_t shortcuts_applied() const { return shortcuts_applied_; }
 
-  /// The plugged-in models (shared with e.g. an OnlineMatcher).
+  /// The plugged-in models.
   ObservationModel* observation_model() { return obs_; }
   TransitionModel* transition_model() { return trans_; }
 
@@ -90,10 +126,6 @@ class Engine {
                     std::vector<std::vector<double>>* f,
                     std::vector<std::vector<int>>* pre);
 
-  /// Expands the chosen candidate chain into a full segment path.
-  std::vector<network::SegmentId> ExpandPath(const std::vector<Candidate>& chain,
-                                             const std::vector<double>& straight);
-
   const network::RoadNetwork* net_;
   network::CachedRouter* router_;
   ObservationModel* obs_;
@@ -104,8 +136,6 @@ class Engine {
   WeightMatrix w_prev_, w_cur_;
   std::vector<network::SegmentId> cur_segments_;
   int64_t shortcuts_applied_ = 0;
-  int64_t sc_evaluated_ = 0;  ///< LHMM_DEBUG_SC: shortcut scores evaluated.
-  int64_t sc_improved_ = 0;   ///< LHMM_DEBUG_SC: of those, wins over f[s][k].
 };
 
 }  // namespace lhmm::hmm

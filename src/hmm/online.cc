@@ -1,25 +1,27 @@
 #include "hmm/online.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "core/logging.h"
 
 namespace lhmm::hmm {
 
 namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+EngineConfig EngineConfigOf(const OnlineConfig& config) {
+  EngineConfig ec;
+  ec.k = config.k;
+  ec.use_shortcuts = false;
+  ec.route_bound_alpha = config.route_bound_alpha;
+  ec.route_bound_beta = config.route_bound_beta;
+  ec.max_route_bound = config.max_route_bound;
+  return ec;
 }
+
+}  // namespace
 
 OnlineMatcher::OnlineMatcher(const network::RoadNetwork* net,
                              network::CachedRouter* router, ObservationModel* obs,
                              TransitionModel* trans, const OnlineConfig& config)
-    : net_(net), router_(router), obs_(obs), trans_(trans), config_(config) {
-  CHECK(net != nullptr);
-  CHECK(router != nullptr);
-  CHECK(obs != nullptr);
-  CHECK(trans != nullptr);
+    : engine_(net, router, obs, trans, EngineConfigOf(config)), lag_(config.lag) {
   CHECK_GE(config.lag, 0);
 }
 
@@ -56,17 +58,11 @@ void OnlineMatcher::Restore(const OnlineCheckpoint& cp) {
   breaks_ = cp.breaks;
 }
 
-double OnlineMatcher::RouteBound(double straight_dist) const {
-  return std::min(config_.max_route_bound,
-                  config_.route_bound_alpha * straight_dist +
-                      config_.route_bound_beta);
-}
-
 std::vector<network::SegmentId> OnlineMatcher::Push(const traj::TrajPoint& point) {
   window_.push_back(point);
   ++pushed_;
   std::vector<network::SegmentId> out;
-  while (static_cast<int>(window_.size()) > config_.lag) {
+  while (static_cast<int>(window_.size()) > lag_) {
     const size_t before = window_.size();
     const std::vector<network::SegmentId> emitted = Advance(/*flush=*/false);
     out.insert(out.end(), emitted.begin(), emitted.end());
@@ -97,29 +93,20 @@ std::vector<network::SegmentId> OnlineMatcher::Advance(bool flush) {
 
   // The windowed trajectory the models see. The committed anchor (if any) is
   // prepended as a pinned first point so transitions out of it are scored
-  // with its real timestamp and position.
+  // with its real timestamp and position; it contributes its single pinned
+  // candidate. Window points with no candidates in range are skipped,
+  // exactly as the offline Engine drops them.
   traj::Trajectory t;
   const int base = has_anchor_ ? 1 : 0;
   if (has_anchor_) t.points.push_back(anchor_point_);
   t.points.insert(t.points.end(), window_.begin(), window_.end());
-  obs_->BeginTrajectory(t);
-  trans_->BeginTrajectory(t);
-
-  // Candidate sets over the window; the anchor contributes its single pinned
-  // candidate. Window points with no candidates in range are skipped, exactly
-  // as the offline Engine drops them.
   std::vector<CandidateSet> cands;
   std::vector<int> point_index;
   if (has_anchor_) {
     cands.push_back(CandidateSet{anchor_});
     point_index.push_back(0);
   }
-  for (int i = base; i < t.size(); ++i) {
-    CandidateSet cs = obs_->Candidates(t, i, config_.k);
-    if (cs.empty()) continue;
-    cands.push_back(std::move(cs));
-    point_index.push_back(i);
-  }
+  engine_.PrepareCandidates(t, base, &cands, &point_index);
   const int m = static_cast<int>(cands.size());
   if (m == base) {
     // Nothing matchable in the window; drop the head to make progress.
@@ -128,117 +115,30 @@ std::vector<network::SegmentId> OnlineMatcher::Advance(bool flush) {
     return emitted;
   }
 
-  // Forward DP, mirroring Engine::Match (shortcuts excluded). The pinned
-  // anchor starts at score 0; its observation is a constant offset that
-  // cannot change the argmax.
-  std::vector<double> straight(m, 0.0);
-  for (int s = 1; s < m; ++s) {
-    straight[s] =
-        geo::Distance(t[point_index[s - 1]].pos, t[point_index[s]].pos);
-  }
-  std::vector<std::vector<double>> f(m);
-  std::vector<std::vector<int>> pre(m);
-  f[0].resize(cands[0].size());
-  pre[0].assign(cands[0].size(), -1);
-  for (size_t j = 0; j < cands[0].size(); ++j) {
-    f[0][j] = has_anchor_ ? 0.0 : cands[0][j].observation;
-  }
-  for (int s = 1; s < m; ++s) {
-    const int prev_n = static_cast<int>(cands[s - 1].size());
-    const int cur_n = static_cast<int>(cands[s].size());
-    const double bound = RouteBound(straight[s]);
-    std::vector<network::SegmentId> targets(cur_n);
-    for (int k2 = 0; k2 < cur_n; ++k2) targets[k2] = cands[s][k2].segment;
-    f[s].assign(cur_n, kNegInf);
-    pre[s].assign(cur_n, -1);
-    // Same flat-arena fill + batched column update as Engine::Match. Rows
-    // whose f is already -inf are skipped before the route query (the skip
-    // is exact: all their scores would be -inf), which the SoA kernel
-    // re-applies internally for the update itself.
-    w_scratch_.Reset(prev_n, cur_n);
-    for (int j = 0; j < prev_n; ++j) {
-      if (f[s - 1][j] == kNegInf) continue;  // Can never win the max below.
-      const std::vector<std::optional<network::Route>> routes =
-          router_->RouteMany(cands[s - 1][j].segment, targets, bound);
-      for (int k2 = 0; k2 < cur_n; ++k2) {
-        const network::Route* route =
-            routes[k2].has_value() ? &routes[k2].value() : nullptr;
-        const double pt =
-            trans_->Transition(t, point_index[s - 1], point_index[s],
-                               cands[s - 1][j], cands[s][k2], route, straight[s]);
-        w_scratch_.Set(j, k2, pt * cands[s][k2].observation, route != nullptr);
-      }
-    }
-    ViterbiColumnSoA(w_scratch_, f[s - 1].data(), f[s].data(), pre[s].data());
-    // HMM-break recovery, mirroring Engine::Match: an unreachable column
-    // restarts the window DP at this point (score = observation, pre = -1)
-    // instead of poisoning the tail with -inf. The committed break is
-    // counted at commit time below — Advance recomputes this DP on every
-    // push, so counting here would tally the same gap once per push.
-    bool reachable = false;
-    for (const double v : f[s]) {
-      if (v != kNegInf) {
-        reachable = true;
-        break;
-      }
-    }
-    if (!reachable) {
-      for (size_t k2 = 0; k2 < cands[s].size(); ++k2) {
-        f[s][k2] = cands[s][k2].observation;
-      }
-    }
-  }
+  // The window's breaks are not counted here: Advance decodes the window on
+  // every push, so that would tally the same gap once per push. A committed
+  // break is counted below, when a commit stitches a discontinuity.
+  const Decoding d = engine_.Decode(t, point_index, &cands, has_anchor_);
 
-  // Backward pass with the Engine's restart rule: a disconnected step picks
-  // the locally best predecessor and the expansion will bridge (or break) it.
-  int best = 0;
-  for (size_t j = 1; j < f[m - 1].size(); ++j) {
-    if (f[m - 1][j] > f[m - 1][best]) best = static_cast<int>(j);
-  }
-  std::vector<int> chain(m);
-  chain[m - 1] = best;
-  for (int s = m - 1; s > 0; --s) {
-    int p = pre[s][chain[s]];
-    if (p < 0) {
-      p = 0;
-      for (size_t j = 1; j < f[s - 1].size(); ++j) {
-        if (f[s - 1][j] > f[s - 1][p]) p = static_cast<int>(j);
-      }
-    }
-    chain[s - 1] = p;
-  }
-
-  // Commit the head — or, on flush, the whole chain. The expansion mirrors
-  // Engine::ExpandPath: route within max(bound, beta), global consecutive
-  // dedup against the committed path, discontinuity fallback.
-  auto append = [&](network::SegmentId sid) {
-    if (!committed_.empty() && committed_.back() == sid) return;
-    committed_.push_back(sid);
-    emitted.push_back(sid);
-  };
+  // Commit the head — or, on flush, the whole chain — expanding each hop
+  // from the anchor with the engine's path expansion, deduplicated against
+  // the committed path.
+  const size_t before = committed_.size();
   const int last = flush ? m - 1 : base;
   for (int s = base; s <= last; ++s) {
-    const Candidate& next = cands[s][chain[s]];
+    const Candidate& next = cands[s][d.chosen[s]];
     if (!has_anchor_) {
-      append(next.segment);
-    } else {
-      const double hop = geo::Distance(anchor_point_.pos, t[point_index[s]].pos);
-      const double bound = std::max(RouteBound(hop), config_.route_bound_beta);
-      const std::optional<network::Route> route =
-          router_->Route1(anchor_.segment, next.segment, bound);
-      if (route.has_value()) {
-        for (network::SegmentId sid : route->segments) append(sid);
-      } else {
-        // Re-anchor across the gap; the stitch is a discontinuity unless the
-        // match stayed on the anchor's segment anyway.
-        if (committed_.empty() || committed_.back() != next.segment) ++breaks_;
-        append(next.segment);
+      if (committed_.empty() || committed_.back() != next.segment) {
+        committed_.push_back(next.segment);
       }
+    } else if (engine_.AppendLeg(anchor_, next, d.straight[s], &committed_)) {
+      ++breaks_;  // Re-anchored across the gap with a discontinuity.
     }
     anchor_ = next;
     anchor_point_ = t[point_index[s]];
     has_anchor_ = true;
   }
+  emitted.assign(committed_.begin() + before, committed_.end());
 
   if (flush) {
     consumed_ += static_cast<int64_t>(window_.size());

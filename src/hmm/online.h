@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "hmm/candidate.h"
+#include "hmm/engine.h"
 #include "hmm/models.h"
-#include "hmm/viterbi_kernel.h"
 #include "network/path_cache.h"
 
 namespace lhmm::hmm {
@@ -45,14 +45,14 @@ struct OnlineCheckpoint {
 /// window, so any matcher family (classical or learned) can run in real
 /// time with a bounded decision delay.
 ///
-/// The committed anchor is re-inserted at the head of every window as a
-/// pinned single-candidate point, so transitions out of it are scored with
-/// the real timestamps and positions (no degenerate dt = 0 stand-in), and
-/// the windowed DP mirrors the offline Engine exactly — including the
-/// restart backtrack across disconnected steps. On Finish() the whole
-/// remaining chain is committed in one DP pass, which makes the streamed
-/// path equal to the offline Viterbi path (Engine with shortcuts disabled)
-/// whenever `lag >= trajectory length`.
+/// The matcher owns a shortcut-free Engine and decodes every window with the
+/// engine's own Decode() — the DP, break restart and backward pass are the
+/// offline ones. The committed anchor is re-inserted at the head of every
+/// window as a pinned single-candidate point, so transitions out of it are
+/// scored with the real timestamps and positions (no degenerate dt = 0
+/// stand-in). On Finish() the whole remaining chain is committed from one
+/// decode, which makes the streamed path equal to the offline Viterbi path
+/// (Engine with shortcuts disabled) whenever `lag >= trajectory length`.
 ///
 /// Latency/accuracy trade-off: larger lag approaches offline Viterbi
 /// accuracy; lag 0 is greedy anchored tracking.
@@ -103,19 +103,18 @@ class OnlineMatcher {
   /// EngineResult::breaks. 0 on healthy input.
   int64_t breaks() const { return breaks_; }
 
+  /// The shortcut-free engine that decodes the window; its Match() is the
+  /// offline reference the fixed-lag output converges to.
+  Engine* engine() { return &engine_; }
+
  private:
-  /// Recomputes the windowed DP and commits the oldest point — or, when
-  /// `flush` is set, the entire chain. Guarantees progress: at least one
-  /// window point is consumed whenever the window is non-empty.
+  /// Decodes the window and commits the oldest point — or, when `flush` is
+  /// set, the entire chain. Guarantees progress: at least one window point
+  /// is consumed whenever the window is non-empty.
   std::vector<network::SegmentId> Advance(bool flush);
 
-  double RouteBound(double straight_dist) const;
-
-  const network::RoadNetwork* net_;
-  network::CachedRouter* router_;
-  ObservationModel* obs_;
-  TransitionModel* trans_;
-  OnlineConfig config_;
+  Engine engine_;
+  int lag_;
 
   std::deque<traj::TrajPoint> window_;
   /// Anchor: the last committed candidate (invalid before the first commit).
@@ -123,8 +122,6 @@ class OnlineMatcher {
   bool has_anchor_ = false;
   traj::TrajPoint anchor_point_;
   std::vector<network::SegmentId> committed_;
-  /// Per-column weight arena, reused across Advance calls.
-  WeightMatrix w_scratch_;
   int64_t pushed_ = 0;
   int64_t consumed_ = 0;
   int64_t breaks_ = 0;

@@ -30,6 +30,15 @@ double RouteTurn(const network::RoadNetwork& net, const network::Route& route) {
   return geo::TotalTurnOfPoints(pts);
 }
 
+hmm::EngineConfig EngineConfigOf(const LhmmModel* model) {
+  CHECK(model != nullptr);
+  hmm::EngineConfig ec;
+  ec.k = model->config.k;
+  ec.use_shortcuts = model->config.use_shortcuts;
+  ec.num_shortcuts = model->config.num_shortcuts;
+  return ec;
+}
+
 }  // namespace
 
 /// Learned observation model: pools candidates spatially and via the CO
@@ -204,57 +213,13 @@ class LhmmMatcher::TransModel : public hmm::TransitionModel {
 LhmmMatcher::LhmmMatcher(const network::RoadNetwork* net,
                          const network::GridIndex* index,
                          std::shared_ptr<LhmmModel> model, std::string display_name)
-    : net_(net),
-      index_(index),
+    : HmmMatcherBase(net, index, EngineConfigOf(model.get())),
       model_(std::move(model)),
       display_name_(std::move(display_name)) {
-  CHECK(net != nullptr);
-  CHECK(index != nullptr);
-  CHECK(model_ != nullptr);
-  router_ = std::make_unique<network::SegmentRouter>(net);
-  cached_router_ = std::make_unique<network::CachedRouter>(router_.get());
-  active_router_ = cached_router_.get();
-  obs_model_ = std::make_unique<ObsModel>(net_, index_, model_.get(), &state_);
-  trans_model_ = std::make_unique<TransModel>(net_, model_.get(), &state_);
-  hmm::EngineConfig engine_config;
-  engine_config.k = model_->config.k;
-  engine_config.use_shortcuts = model_->config.use_shortcuts;
-  engine_config.num_shortcuts = model_->config.num_shortcuts;
-  engine_ = std::make_unique<hmm::Engine>(net_, cached_router_.get(),
-                                          obs_model_.get(), trans_model_.get(),
-                                          engine_config);
+  Init(std::make_unique<ObsModel>(net, index, model_.get(), &state_),
+       std::make_unique<TransModel>(net, model_.get(), &state_));
 }
 
 LhmmMatcher::~LhmmMatcher() = default;
-
-void LhmmMatcher::UseSharedRouter(network::CachedRouter* shared) {
-  CHECK(shared != nullptr);
-  active_router_ = shared;
-  hmm::EngineConfig engine_config = engine_->config();
-  engine_ = std::make_unique<hmm::Engine>(net_, shared, obs_model_.get(),
-                                          trans_model_.get(), engine_config);
-}
-
-std::unique_ptr<matchers::StreamingSession> LhmmMatcher::OpenSession(
-    const matchers::StreamConfig& config) {
-  const hmm::EngineConfig& ec = engine_->config();
-  hmm::OnlineConfig oc;
-  oc.k = ec.k;
-  oc.lag = config.lag;
-  oc.route_bound_alpha = ec.route_bound_alpha;
-  oc.route_bound_beta = ec.route_bound_beta;
-  oc.max_route_bound = ec.max_route_bound;
-  return std::make_unique<matchers::OnlineSession>(
-      net_, active_router_, obs_model_.get(), trans_model_.get(), oc);
-}
-
-matchers::MatchResult LhmmMatcher::Match(const traj::Trajectory& cellular) {
-  hmm::EngineResult er = engine_->Match(cellular);
-  matchers::MatchResult out;
-  out.path = std::move(er.path);
-  out.candidates = std::move(er.candidates);
-  out.point_index = std::move(er.point_index);
-  return out;
-}
 
 }  // namespace lhmm::lhmm

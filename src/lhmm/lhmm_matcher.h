@@ -7,9 +7,8 @@
 
 #include "hmm/engine.h"
 #include "lhmm/model.h"
-#include "matchers/matcher.h"
+#include "matchers/hmm_matcher_base.h"
 #include "network/grid_index.h"
-#include "network/path_cache.h"
 
 namespace lhmm::lhmm {
 
@@ -27,50 +26,32 @@ struct TrajectoryState {
 /// The LHMM map matcher (the paper's contribution): learned P_O and P_T
 /// plugged into the shared HMM engine with the shortcut-augmented candidate
 /// graph. Construct via TrainLhmm() -> LhmmMatcher.
-class LhmmMatcher : public matchers::MapMatcher {
+///
+/// Streaming sessions (OpenSession) run the learned models without
+/// shortcuts. The learned P_O context (Eq. 6) attends over the visible
+/// window, so mid-stream scores see a prefix of the history; at lag >=
+/// trajectory length the window is the whole trajectory and the streamed
+/// path equals offline Viterbi (shortcuts disabled).
+class LhmmMatcher : public matchers::HmmMatcherBase {
  public:
   /// `model` is shared so ablation sweeps can reuse a trained model with
-  /// different engine settings. `display_name` shows in benchmark tables
-  /// ("LHMM", "LHMM-S", ...).
+  /// different engine settings; only per-trajectory state is private.
+  /// `display_name` shows in benchmark tables ("LHMM", "LHMM-S", ...).
   LhmmMatcher(const network::RoadNetwork* net, const network::GridIndex* index,
               std::shared_ptr<LhmmModel> model, std::string display_name = "LHMM");
   ~LhmmMatcher() override;
 
   std::string name() const override { return display_name_; }
-  matchers::MatchResult Match(const traj::Trajectory& cellular) override;
-  bool ProvidesCandidates() const override { return true; }
 
-  /// Rebuilds the engine on top of `shared`. The model stays shared (its
-  /// inference path is const); only per-trajectory state is private.
-  void UseSharedRouter(network::CachedRouter* shared) override;
-
-  /// Fixed-lag streaming with the learned models. The learned P_O context
-  /// (Eq. 6) attends over the visible window, so mid-stream scores see a
-  /// prefix of the history; at lag >= trajectory length the window is the
-  /// whole trajectory and the streamed path equals offline Viterbi
-  /// (shortcuts disabled).
-  bool SupportsStreaming() const override { return true; }
-  std::unique_ptr<matchers::StreamingSession> OpenSession(
-      const matchers::StreamConfig& config) override;
-
-  hmm::Engine* engine() { return engine_.get(); }
   const LhmmModel& model() const { return *model_; }
 
  private:
   class ObsModel;
   class TransModel;
 
-  const network::RoadNetwork* net_;
-  const network::GridIndex* index_;
   std::shared_ptr<LhmmModel> model_;
   std::string display_name_;
   TrajectoryState state_;
-  std::unique_ptr<network::SegmentRouter> router_;
-  std::unique_ptr<network::CachedRouter> cached_router_;
-  network::CachedRouter* active_router_ = nullptr;  ///< cached_router_ or shared.
-  std::unique_ptr<ObsModel> obs_model_;
-  std::unique_ptr<TransModel> trans_model_;
-  std::unique_ptr<hmm::Engine> engine_;
 };
 
 }  // namespace lhmm::lhmm

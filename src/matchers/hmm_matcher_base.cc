@@ -27,21 +27,23 @@ void HmmMatcherBase::UseSharedRouter(network::CachedRouter* shared) {
   CHECK(shared != nullptr);
   active_router_ = shared;
   if (engine_ != nullptr) {
-    // The engine only holds pointers; rebuilding it swaps the router in.
+    // The engine only holds pointers; rebuilding it swaps the router in. The
+    // live config carries over, so mutable_config() edits survive.
     engine_ = std::make_unique<hmm::Engine>(net_, active_router_, obs_.get(),
-                                            trans_.get(), config_);
+                                            trans_.get(), engine_->config());
   }
 }
 
 std::unique_ptr<StreamingSession> HmmMatcherBase::OpenSession(
     const StreamConfig& config) {
-  CHECK(obs_ != nullptr) << "subclass forgot to call Init()";
+  CHECK(engine_ != nullptr) << "subclass forgot to call Init()";
+  const hmm::EngineConfig& ec = engine_->config();
   hmm::OnlineConfig oc;
-  oc.k = config_.k;
+  oc.k = ec.k;
   oc.lag = config.lag;
-  oc.route_bound_alpha = config_.route_bound_alpha;
-  oc.route_bound_beta = config_.route_bound_beta;
-  oc.max_route_bound = config_.max_route_bound;
+  oc.route_bound_alpha = ec.route_bound_alpha;
+  oc.route_bound_beta = ec.route_bound_beta;
+  oc.max_route_bound = ec.max_route_bound;
   return std::make_unique<OnlineSession>(net_, active_router_, obs_.get(),
                                          trans_.get(), oc);
 }

@@ -11,9 +11,10 @@
 
 namespace lhmm::matchers {
 
-/// Base for every HMM-family matcher: owns a router + cache and runs the
-/// shared hmm::Engine with the models supplied by the subclass. Subclasses
-/// construct their observation/transition models and call Init().
+/// Base for every HMM-family matcher (the classic baselines and LHMM): owns a
+/// router + cache and runs the shared hmm::Engine with the models supplied by
+/// the subclass. Subclasses construct their observation/transition models and
+/// call Init().
 class HmmMatcherBase : public MapMatcher {
  public:
   /// `net` and `index` must outlive the matcher.
@@ -23,8 +24,8 @@ class HmmMatcherBase : public MapMatcher {
   MatchResult Match(const traj::Trajectory& cellular) override;
   bool ProvidesCandidates() const override { return true; }
 
-  /// Rebuilds the engine on top of `shared`; the private cache is kept
-  /// allocated but no longer consulted.
+  /// Rebuilds the engine on top of `shared`, keeping its live config; the
+  /// private cache is kept allocated but no longer consulted.
   void UseSharedRouter(network::CachedRouter* shared) override;
 
   /// Fixed-lag streaming with this matcher's models. Note: matchers with a

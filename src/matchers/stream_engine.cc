@@ -113,6 +113,7 @@ core::Result<SessionId> StreamEngine::OpenInternal(
     }
     s->last_time = checkpoint->last_time;
     s->seen_point = checkpoint->seen_point;
+    s->stats = s->session->stats();
   }
   s->last_activity = clock_;
   ++live_;
@@ -324,6 +325,11 @@ int64_t StreamEngine::inbox_depth(SessionId id) const {
 void StreamEngine::Process(Slot* s, std::optional<traj::TrajPoint>& event) {
   if (event.has_value()) {
     s->session->Push(*event);
+    const SessionStats stats = s->session->stats();
+    {
+      std::lock_guard<std::mutex> lock(s->mu);
+      s->stats = stats;
+    }
     s->processed.fetch_add(1, std::memory_order_release);
     return;
   }
@@ -342,7 +348,7 @@ void StreamEngine::Process(Slot* s, std::optional<traj::TrajPoint>& event) {
       return;
     }
     s->final_committed = std::move(committed);
-    s->final_stats = stats;
+    s->stats = stats;
     s->session.reset();
     s->matcher.reset();
   }
@@ -480,8 +486,7 @@ const std::vector<network::SegmentId>& StreamEngine::Committed(
 SessionStats StreamEngine::Stats(SessionId id) const {
   Slot* s = slot(id);
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->session != nullptr) return s->session->stats();
-  return s->final_stats;
+  return s->stats;
 }
 
 SessionStats StreamEngine::TotalStats() const {
@@ -491,7 +496,7 @@ SessionStats StreamEngine::TotalStats() const {
     SessionStats one;
     {
       std::lock_guard<std::mutex> slot_lock(s->mu);
-      one = s->session != nullptr ? s->session->stats() : s->final_stats;
+      one = s->stats;
     }
     total.points_pushed += one.points_pushed;
     total.points_committed += one.points_committed;

@@ -261,7 +261,10 @@ class StreamEngine {
     std::unique_ptr<MapMatcher> matcher;
     std::unique_ptr<StreamingSession> session;
     std::vector<network::SegmentId> final_committed;
-    SessionStats final_stats;
+    /// Guarded by mu. The session's counters as of the last processed event
+    /// (final after end of stream): the pump publishes a copy here, so
+    /// Stats() never reads a session another thread is advancing.
+    SessionStats stats;
     core::Status error;                 ///< Guarded by mu; set when poisoned.
     std::atomic<bool> closed{false};    ///< Finish()/eviction was enqueued.
     std::atomic<bool> finished{false};  ///< End-of-stream was processed.

@@ -2,27 +2,12 @@
 
 namespace lhmm::matchers {
 
-namespace {
-
-hmm::EngineConfig OfflineConfigOf(const hmm::OnlineConfig& config) {
-  hmm::EngineConfig ec;
-  ec.k = config.k;
-  ec.use_shortcuts = false;
-  ec.route_bound_alpha = config.route_bound_alpha;
-  ec.route_bound_beta = config.route_bound_beta;
-  ec.max_route_bound = config.max_route_bound;
-  return ec;
-}
-
-}  // namespace
-
 OnlineSession::OnlineSession(const network::RoadNetwork* net,
                              network::CachedRouter* router,
                              hmm::ObservationModel* obs,
                              hmm::TransitionModel* trans,
                              const hmm::OnlineConfig& config)
-    : online_(net, router, obs, trans, config),
-      offline_(net, router, obs, trans, OfflineConfigOf(config)) {}
+    : online_(net, router, obs, trans, config) {}
 
 std::vector<network::SegmentId> OnlineSession::Push(const traj::TrajPoint& point) {
   const int64_t before = online_.consumed_points();
@@ -76,7 +61,7 @@ void OnlineSession::AccumulateLatency(int64_t consumed_before) {
 }
 
 hmm::EngineResult OnlineSession::MatchOffline(const traj::Trajectory& t) {
-  return offline_.Match(t);
+  return online_.engine()->Match(t);
 }
 
 }  // namespace lhmm::matchers

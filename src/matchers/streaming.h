@@ -84,9 +84,10 @@ class StreamingSession {
 
 /// The standard StreamingSession: an hmm::OnlineMatcher running the opening
 /// matcher's observation/transition models against its (possibly shared)
-/// CachedRouter. Also carries an offline hmm::Engine over the same models,
-/// so convergence (lag >= length => streamed path == offline Viterbi path,
-/// shortcuts disabled) can be checked against the exact reference.
+/// CachedRouter. MatchOffline runs the OnlineMatcher's own shortcut-free
+/// engine over a whole trajectory, so convergence (lag >= length => streamed
+/// path == offline Viterbi path, shortcuts disabled) can be checked against
+/// the exact reference.
 class OnlineSession : public StreamingSession {
  public:
   /// All pointers must outlive the session.
@@ -116,7 +117,6 @@ class OnlineSession : public StreamingSession {
   void AccumulateLatency(int64_t consumed_before);
 
   hmm::OnlineMatcher online_;
-  hmm::Engine offline_;
   int64_t latency_points_sum_ = 0;
 };
 

@@ -33,6 +33,13 @@ const MatchServer::Sess& MatchServer::sess(int64_t id) const {
   return sessions_[id];
 }
 
+core::Status MatchServer::CheckId(int64_t id) const {
+  if (id >= 0 && id < static_cast<int64_t>(sessions_.size())) {
+    return core::Status::Ok();
+  }
+  return core::Status::NotFound("no session " + std::to_string(id));
+}
+
 int64_t MatchServer::QueueDepth() const {
   int64_t depth = 0;
   for (const Sess& s : sessions_) {
@@ -66,6 +73,7 @@ core::Result<int64_t> MatchServer::OpenSession() {
 }
 
 core::Status MatchServer::Push(int64_t id, const traj::TrajPoint& point) {
+  LHMM_RETURN_IF_ERROR(CheckId(id));
   const Sess& s = sess(id);
   if (s.missing) {
     return core::Status::Unavailable("session " + std::to_string(id) +
@@ -93,7 +101,7 @@ core::Status MatchServer::Push(int64_t id, const traj::TrajPoint& point) {
 }
 
 core::Status MatchServer::Finish(int64_t id) {
-  sess(id);  // Bounds check.
+  LHMM_RETURN_IF_ERROR(CheckId(id));
   Sess& s = sessions_[id];
   if (s.missing) {
     return core::Status::Unavailable("session " + std::to_string(id) +
@@ -109,6 +117,7 @@ core::Status MatchServer::Finish(int64_t id) {
 }
 
 core::Status MatchServer::SetDeadline(int64_t id, int64_t deadline_tick) {
+  LHMM_RETURN_IF_ERROR(CheckId(id));
   const Sess& s = sess(id);
   if (s.missing || !s.open) {
     return core::Status::FailedPrecondition("session " + std::to_string(id) +

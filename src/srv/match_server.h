@@ -173,16 +173,19 @@ class MatchServer {
   /// limit), kUnimplemented (the tier's family has no streaming form).
   core::Result<int64_t> OpenSession();
 
-  /// Admits and enqueues one point. Typed failures: kUnavailable (draining /
-  /// overload), kResourceExhausted (rate limit), kDeadlineExceeded (session
-  /// expired; Committed() holds the partial prefix), kInvalidArgument
-  /// (malformed point), kFailedPrecondition (closed session).
+  /// Admits and enqueues one point. Typed failures: kNotFound (no session
+  /// `id`), kUnavailable (draining / overload), kResourceExhausted (rate
+  /// limit), kDeadlineExceeded (session expired; Committed() holds the partial
+  /// prefix), kInvalidArgument (malformed point), kFailedPrecondition (closed
+  /// session).
   core::Status Push(int64_t id, const traj::TrajPoint& point);
 
-  /// Ends a session's stream; its committed path becomes final.
+  /// Ends a session's stream; its committed path becomes final. kNotFound
+  /// when there is no session `id`.
   core::Status Finish(int64_t id);
 
   /// Arms (0 disarms) an absolute logical-clock deadline on a live session.
+  /// kNotFound when there is no session `id`.
   core::Status SetDeadline(int64_t id, int64_t deadline_tick);
 
   /// The server's heartbeat: advances the logical clock, refills admission
@@ -195,6 +198,10 @@ class MatchServer {
   void Barrier();
 
   int64_t num_sessions() const;
+  /// kNotFound ("no session <id>") unless `id` names a session of this
+  /// server. Push, Finish and SetDeadline apply it themselves; callers of the
+  /// read accessors below must, since those CHECK the id.
+  core::Status CheckId(int64_t id) const;
   matchers::SessionState state(int64_t id) const;
   bool finished(int64_t id) const;
 

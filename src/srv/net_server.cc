@@ -156,9 +156,8 @@ bool CommandProcessor::Process(const std::string& line, std::string* response,
           ErrLine(core::Status::InvalidArgument("usage: committed <id>"));
       return true;
     }
-    if (id < 0 || id >= server_->num_sessions()) {
-      *response =
-          ErrLine(core::Status::NotFound("no session " + std::to_string(id)));
+    if (const core::Status known = server_->CheckId(id); !known.ok()) {
+      *response = ErrLine(known);
       return true;
     }
     const std::vector<network::SegmentId>& path = server_->Committed(id);
@@ -213,9 +212,8 @@ bool CommandProcessor::Process(const std::string& line, std::string* response,
           static_cast<long long>(d.disk_free_bytes)));
       return true;
     }
-    if (id < 0 || id >= server_->num_sessions()) {
-      *response =
-          ErrLine(core::Status::NotFound("no session " + std::to_string(id)));
+    if (const core::Status known = server_->CheckId(id); !known.ok()) {
+      *response = ErrLine(known);
       return true;
     }
     // pushed= lets a client resume a session after a crash: recovery rolls

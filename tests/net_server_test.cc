@@ -11,6 +11,8 @@
 //    pump; an oversized frame gets a typed err frame, then the close;
 //  - a half-open/idle connection is reaped by the existing logical-clock idle
 //    TTL;
+//  - push/finish/deadline with an unknown or negative session id get the
+//    same typed NotFound reply on both transports and the server stays up;
 //  - regression: a failed `drain` leaves the server serving (not wedged
 //    draining with its sessions closed), so the EOF/SIGTERM shutdown drain
 //    still completes — the bug the socket gauntlet surfaced in lhmm_serve.
@@ -516,6 +518,50 @@ TEST_F(NetServeTest, HealthAndPidVerbsIdenticalAcrossTransports) {
   ASSERT_TRUE(core::StartsWith(c.Cmd("tick 3"), "ok tick "));
   EXPECT_EQ(c.Cmd("health"), stdin_health);
 
+  c.Close();
+  rs.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Client-supplied session ids: an unknown or negative id on a mutating verb
+// is a typed NotFound, never a server abort.
+// ---------------------------------------------------------------------------
+
+TEST_F(NetServeTest, BadSessionIdsGetNotFoundOnBothTransports) {
+  std::vector<std::string> verbs;
+  std::vector<std::string> want;
+  for (const char* id : {"0", "7", "-1"}) {  // No session is open yet.
+    const std::string miss = std::string("err NotFound no session ") + id;
+    verbs.push_back(std::string("push ") + id + " 100 10 0 1");
+    verbs.push_back(std::string("finish ") + id);
+    verbs.push_back(std::string("deadline ") + id + " 5");
+    want.insert(want.end(), 3, miss);
+  }
+
+  srv::MatchServer server(Tiers(), Config(1));
+  srv::CommandProcessor proc(&server, {});
+  bool quit = false;
+  std::vector<std::string> stdin_replies;
+  for (const std::string& v : verbs) {
+    std::string resp;
+    ASSERT_TRUE(proc.Process(v, &resp, &quit)) << v;
+    stdin_replies.push_back(resp);
+  }
+  EXPECT_EQ(stdin_replies, want);
+  std::string stdin_open;
+  ASSERT_TRUE(proc.Process("open", &stdin_open, &quit));
+  EXPECT_EQ(stdin_open, "ok open 0 tier=IVMM");
+  EXPECT_FALSE(quit);
+
+  RunningServer rs;
+  rs.Start(Tiers(), Config(1), srv::NetServerConfig{});
+  ASSERT_TRUE(rs.net != nullptr);
+  NetClient c;
+  ASSERT_TRUE(c.Connect(rs.net->port()));
+  for (size_t i = 0; i < verbs.size(); ++i) {
+    EXPECT_EQ(c.Cmd(verbs[i]), stdin_replies[i]) << verbs[i];
+  }
+  EXPECT_EQ(c.Cmd("open"), stdin_open);
   c.Close();
   rs.Stop();
 }

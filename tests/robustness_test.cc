@@ -1,9 +1,9 @@
 // Robustness suite for the hardened matching pipeline: traj::Sanitize
 // policies, deterministic fault injection (network::FaultyRouter), HMM-break
-// recovery (offline engine, online matcher, STM/IVMM), and the StreamEngine
-// serving contract — bounded inboxes with backpressure, logical-clock
-// eviction that is deterministic across thread counts, and per-session error
-// quarantine. Ends with the end-to-end crash test: corrupted points +
+// recovery (offline engine, online matcher, STM/IVMM/LHMM), and the
+// StreamEngine serving contract — bounded inboxes with backpressure,
+// logical-clock eviction that is deterministic across thread counts, and
+// per-session error quarantine. Ends with the end-to-end crash test: corrupted points +
 // sanitize + a 10%-faulted router through STM/IVMM/LHMM, byte-identical for
 // 1 and 8 threads.
 
@@ -391,6 +391,65 @@ TEST(BreakRecoveryTest, StmAndIvmmSurviveTheGap) {
   EXPECT_EQ(ri.num_breaks, 1);
   EXPECT_NEAR(ri.gap_coverage, 1.0 - 30.0 / 150.0, 1e-12);
   EXPECT_TRUE(h.PathTouchesBothIslands(ri.path));
+}
+
+TEST(BreakRecoveryTest, LhmmReportsTheEngineBreaks) {
+  IslandHarness h;
+  // A tiny LHMM trained on the island network itself: eastbound drives along
+  // each island, two towers per island alternating point by point.
+  auto island_of = [&](network::NodeId n) {
+    return h.net.node(n).pos.x < IslandHarness::kIslandOffset / 2 ? 0 : 1;
+  };
+  std::vector<traj::MatchedTrajectory> train;
+  for (int island = 0; island < 2; ++island) {
+    std::vector<network::SegmentId> east;  // West to east (added in order).
+    for (network::SegmentId sid = 0; sid < h.net.num_segments(); ++sid) {
+      const network::RoadSegment& seg = h.net.segment(sid);
+      if (island_of(seg.from) == island &&
+          h.net.node(seg.from).pos.x < h.net.node(seg.to).pos.x) {
+        east.push_back(sid);
+      }
+    }
+    for (int rep = 0; rep < 4; ++rep) {
+      traj::MatchedTrajectory mt;
+      mt.truth_path = east;
+      for (int i = 0; i < 5; ++i) {
+        const double x = island * IslandHarness::kIslandOffset + 50.0 + 175.0 * i;
+        const double t = 30.0 * i;
+        const auto tower = static_cast<traj::TowerId>(2 * island + (i + rep) % 2);
+        mt.cellular.points.push_back(P(x + 20.0 * rep, 40.0, t, tower));
+        mt.gps.points.push_back(P(x, 0.0, t));
+      }
+      train.push_back(std::move(mt));
+    }
+  }
+  lhmm::LhmmConfig cfg;
+  cfg.obs_steps = 2;
+  cfg.trans_steps = 2;
+  cfg.fusion_steps = 3;
+  cfg.encoder.dim = 8;
+  cfg.k = 6;
+  lhmm::TrainInputs inputs;
+  inputs.net = &h.net;
+  inputs.index = h.index.get();
+  inputs.num_towers = 4;
+  inputs.train = &train;
+  std::shared_ptr<lhmm::LhmmModel> model = lhmm::TrainLhmm(inputs, cfg);
+
+  traj::Trajectory t = IslandHarness::CrossIslands();
+  for (int i = 0; i < t.size(); ++i) {
+    t.points[i].tower = static_cast<traj::TowerId>(2 * (i / 3) + i % 2);
+  }
+  lhmm::LhmmMatcher matcher(&h.net, h.index.get(), model);
+  const matchers::MatchResult r = matcher.Match(t);
+  const hmm::EngineResult er = matcher.engine()->Match(t);
+  EXPECT_GE(er.num_breaks(), 1);
+  EXPECT_EQ(r.num_breaks, er.num_breaks());
+  EXPECT_EQ(r.gap_seconds, er.gap_seconds);
+  EXPECT_EQ(r.gap_coverage, er.gap_coverage);
+  EXPECT_LT(r.gap_coverage, 1.0);
+  EXPECT_EQ(r.path, er.path);
+  EXPECT_TRUE(h.PathTouchesBothIslands(r.path));
 }
 
 TEST(BreakRecoveryTest, StreamSessionStatsCarryTheBreakCount) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/rng.h"
@@ -199,6 +200,62 @@ TEST(OnlineSessionTest, LatencyAccountingIsExact) {
   session.Reset();
   EXPECT_EQ(session.stats().points_pushed, 0);
   EXPECT_EQ(session.stats().latency_points_sum, 0);
+}
+
+// Stats() and TotalStats() are polled while pool threads are still running
+// the same sessions' pushes. Under ThreadSanitizer this is the race check:
+// the poll must read a published copy, never the live session's counters.
+TEST(StreamEngineStatsTest, StatsArePollableWhilePushesAreInFlight) {
+  GridHarness h;
+  const network::RoadNetwork* net = &h.net;
+  const network::GridIndex* index = h.index.get();
+  const hmm::ClassicModelConfig models = h.models;
+  hmm::EngineConfig ec;
+  ec.k = 8;
+  matchers::StreamEngineConfig cfg;
+  cfg.num_threads = 4;
+  cfg.lag = 2;
+  cfg.shared_router = h.cached.get();
+  matchers::StreamEngine engine(
+      [=] { return std::make_unique<matchers::StmMatcher>(net, index, models, ec); },
+      cfg);
+  // Back and forth along the bottom row, so the pumps stay busy for a while.
+  traj::Trajectory t;
+  for (int i = 0; i < 36; ++i) {
+    const int col = (i / 6) % 2 == 0 ? i % 6 : 5 - i % 6;
+    t.points.push_back({{100.0 + 250.0 * col, 10.0}, 20.0 * i, col});
+  }
+  const int kSessions = 4;
+  std::vector<matchers::SessionId> ids;
+  for (int i = 0; i < kSessions; ++i) ids.push_back(engine.Open());
+  std::vector<int64_t> seen(kSessions, 0);
+  auto poll = [&](int i) {
+    const matchers::SessionStats s = engine.Stats(ids[i]);
+    EXPECT_GE(s.points_pushed, seen[i]) << "counters went backwards";
+    EXPECT_LE(s.points_committed, s.points_pushed);
+    EXPECT_LE(engine.TotalStats().points_pushed, kSessions * t.size());
+    seen[i] = s.points_pushed;
+  };
+  for (int p = 0; p < t.size(); ++p) {
+    for (int i = 0; i < kSessions; ++i) {
+      ASSERT_TRUE(engine.Push(ids[i], t[p]).ok());
+      poll(i);
+    }
+  }
+  // Spin until every push has been processed, reading while the pumps run.
+  for (int i = 0; i < kSessions; ++i) {
+    while (seen[i] < t.size()) {
+      std::this_thread::yield();
+      poll(i);
+    }
+  }
+  for (const matchers::SessionId id : ids) ASSERT_TRUE(engine.Finish(id).ok());
+  engine.Barrier();
+  for (const matchers::SessionId id : ids) {
+    EXPECT_EQ(engine.Stats(id).points_pushed, t.size());
+    EXPECT_EQ(engine.Stats(id).points_committed, t.size());
+  }
+  EXPECT_EQ(engine.TotalStats().points_committed, kSessions * t.size());
 }
 
 // ---------------------------------------------------------------------------

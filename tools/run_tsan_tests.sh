@@ -18,7 +18,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robust
 # TSan halts with a non-zero exit on the first data race, so a plain run is
 # the assertion. batch_test covers the thread pool, the sharded route cache
 # under 8-thread load, and 1-vs-4-thread batch determinism; stream_test covers
-# the StreamEngine's per-session inbox pump under 8-thread shuffled arrival;
+# the StreamEngine's per-session inbox pump under 8-thread shuffled arrival,
+# and StreamEngineStatsTest polls Stats()/TotalStats() while the pumps run the
+# same sessions' pushes (both selected by the StreamEngine pattern below);
 # robustness_test covers the hardened serving paths — backpressure against a
 # blocked pump, cap/TTL eviction racing workers, poison quarantine, the
 # 1000-session eviction-churn soak, and fault-injected batch matching;
