@@ -6,14 +6,13 @@
 // routing|viterbi|store [--smoke]` runs a fixed perf suite and writes a flat
 // key/value JSON snapshot for tools/bench_diff — the perf-regression
 // harness. The routing suite measures the HMM column and path-expansion
-// routing workloads on a Hangzhou-S-scale network, cold Dijkstra vs the
-// contraction-hierarchy backend; the viterbi suite measures the SoA column
-// kernel vs the scalar reference and the engine end to end; the store suite
-// measures the mmap data plane — store build, open+validate (the full CRC
-// sweep a swap candidate pays), and materializing assets from the mapping vs
-// rebuilding them from scratch the way an owned-mode worker must. `--smoke`
-// shrinks query counts (same network, same per-query metrics) so the suite
-// runs in ctest time.
+// routing workloads on a Hangzhou-S-scale network with cold bounded
+// Dijkstra; the viterbi suite measures the SoA column kernel and the engine
+// end to end; the store suite measures the mmap data plane — store build,
+// open+validate (the full CRC sweep a swap candidate pays), and
+// materializing assets from the mapping vs rebuilding them from scratch the
+// way an owned-mode worker must. `--smoke` shrinks query counts (same
+// network, same per-query metrics) so the suite runs in ctest time.
 
 #include <benchmark/benchmark.h>
 
@@ -36,8 +35,6 @@
 #include "hmm/viterbi_kernel.h"
 #include "lhmm/het_encoder.h"
 #include "lhmm/mr_graph.h"
-#include "network/ch_router.h"
-#include "network/contraction.h"
 #include "network/generators.h"
 #include "network/grid_index.h"
 #include "network/path_cache.h"
@@ -246,13 +243,12 @@ int Sanitized() {
 ///
 ///  - "column": the HMM column pattern — for each of ~8 predecessor
 ///    candidates, RouteMany against the next point's ~45 candidate targets
-///    under the Eq.-derived bound (one shared target set per column, which
-///    is what the CH corridor reuse amortizes);
+///    under the Eq.-derived bound (one shared target set per column);
 ///  - "expand": the path expansion's point-to-point Route1 calls at the 12 km
-///    cap, where the CH forward join tightens or refutes the search.
+///    cap.
 ///
-/// Both run cold (no CachedRouter): this isolates the backend, and cold
-/// misses are exactly where the backend choice matters in production.
+/// Both run cold (no CachedRouter): this isolates the search itself, which
+/// is what every cache miss pays in production.
 int RunRoutingSuite(const std::string& json_path, bool smoke) {
   sim::DatasetConfig cfg = sim::HangzhouSPreset();
   network::RoadNetwork net = network::GenerateCityNetwork(cfg.net);
@@ -301,62 +297,22 @@ int RunRoutingSuite(const std::string& json_path, bool smoke) {
     p.to = rng.UniformInt(n);
   }
 
-  core::Stopwatch build_watch;
-  const network::CHGraph ch = network::CHGraph::Build(net);
-  const double preprocess_ms = build_watch.ElapsedSeconds() * 1e3;
-
-  // Fingerprint of the answers (count + total length), to assert both
-  // backends agree before trusting the timings.
-  struct Tally {
-    int64_t found = 0;
-    double length = 0.0;
-  };
-  const auto run_columns = [&columns](network::SegmentRouter& r, Tally* tally) {
+  const auto run_columns = [&columns](network::SegmentRouter& r) {
     for (const Column& c : columns) {
       for (const network::SegmentId from : c.froms) {
-        const auto routes = r.RouteMany(from, c.targets, c.bound);
-        if (tally != nullptr) {
-          for (const auto& route : routes) {
-            if (route.has_value()) {
-              ++tally->found;
-              tally->length += route->length;
-            }
-          }
-        }
-        benchmark::DoNotOptimize(routes.size());
+        benchmark::DoNotOptimize(r.RouteMany(from, c.targets, c.bound).size());
       }
     }
   };
-  const auto run_expands = [&expands](network::SegmentRouter& r, Tally* tally) {
+  const auto run_expands = [&expands](network::SegmentRouter& r) {
     for (const Pair& p : expands) {
-      const auto route = r.Route1(p.from, p.to, 12000.0);
-      if (tally != nullptr && route.has_value()) {
-        ++tally->found;
-        tally->length += route->length;
-      }
-      benchmark::DoNotOptimize(route.has_value());
+      benchmark::DoNotOptimize(r.Route1(p.from, p.to, 12000.0).has_value());
     }
   };
-
   network::SegmentRouter dijkstra(&net);
-  network::CHRouter ch_router(&net, &ch);
-  Tally t_dij_col, t_ch_col, t_dij_exp, t_ch_exp;
-  run_columns(dijkstra, &t_dij_col);
-  run_columns(ch_router, &t_ch_col);
-  run_expands(dijkstra, &t_dij_exp);
-  run_expands(ch_router, &t_ch_exp);
-  if (t_dij_col.found != t_ch_col.found || t_dij_exp.found != t_ch_exp.found ||
-      t_dij_col.length != t_ch_col.length ||
-      t_dij_exp.length != t_ch_exp.length) {
-    std::fprintf(stderr,
-                 "error: backend disagreement (dijkstra %lld/%.3f + %lld/%.3f"
-                 " vs ch %lld/%.3f + %lld/%.3f) — timings are meaningless\n",
-                 static_cast<long long>(t_dij_col.found), t_dij_col.length,
-                 static_cast<long long>(t_dij_exp.found), t_dij_exp.length,
-                 static_cast<long long>(t_ch_col.found), t_ch_col.length,
-                 static_cast<long long>(t_ch_exp.found), t_ch_exp.length);
-    return 3;
-  }
+  // One untimed pass first, so every timed rep sees warm scratch buffers.
+  run_columns(dijkstra);
+  run_expands(dijkstra);
 
   const auto time_best = [&](const std::function<void()>& fn) {
     double best = 1e300;
@@ -371,46 +327,29 @@ int RunRoutingSuite(const std::string& json_path, bool smoke) {
   for (const Column& c : columns) {
     column_calls += static_cast<int64_t>(c.froms.size());
   }
-  const double dij_col_us =
-      time_best([&] { run_columns(dijkstra, nullptr); });
-  const double ch_col_us =
-      time_best([&] { run_columns(ch_router, nullptr); });
-  const double dij_exp_us =
-      time_best([&] { run_expands(dijkstra, nullptr); });
-  const double ch_exp_us = time_best([&] { run_expands(ch_router, nullptr); });
+  const double dij_col_us = time_best([&] { run_columns(dijkstra); });
+  const double dij_exp_us = time_best([&] { run_expands(dijkstra); });
 
   const double calib_us = CalibrateUs();
   std::vector<KV> kvs;
   kvs.push_back({"sanitized", static_cast<double>(Sanitized())});
   kvs.push_back({"calib_us", calib_us});
   kvs.push_back({"network_segments", static_cast<double>(n)});
-  kvs.push_back({"ch_shortcuts", static_cast<double>(ch.num_shortcuts)});
-  kvs.push_back({"ch_preprocess_ms", preprocess_ms});
   kvs.push_back({"column_dijkstra_us",
                  dij_col_us / static_cast<double>(column_calls)});
-  kvs.push_back({"column_ch_us", ch_col_us / static_cast<double>(column_calls)});
-  kvs.push_back({"column_speedup", dij_col_us / ch_col_us});
   kvs.push_back({"route_query_dijkstra_us",
                  dij_exp_us / static_cast<double>(num_expands)});
-  kvs.push_back(
-      {"route_query_ch_us", ch_exp_us / static_cast<double>(num_expands)});
-  kvs.push_back({"route_query_speedup", dij_exp_us / ch_exp_us});
-  kvs.push_back(
-      {"overall_speedup", (dij_col_us + dij_exp_us) / (ch_col_us + ch_exp_us)});
   if (!WriteFlatJson(json_path, kvs)) return 2;
   std::printf(
-      "routing suite -> %s\n  column %.1f us -> %.1f us (%.2fx), route query"
-      " %.1f us -> %.1f us (%.2fx), overall %.2fx\n  CH: %lld shortcuts,"
-      " %.0f ms preprocess, %d segments\n",
-      json_path.c_str(), dij_col_us / column_calls, ch_col_us / column_calls,
-      dij_col_us / ch_col_us, dij_exp_us / num_expands, ch_exp_us / num_expands,
-      dij_exp_us / ch_exp_us, (dij_col_us + dij_exp_us) / (ch_col_us + ch_exp_us),
-      static_cast<long long>(ch.num_shortcuts), preprocess_ms, n);
+      "routing suite -> %s\n  column %.1f us, route query %.1f us,"
+      " %d segments\n",
+      json_path.c_str(), dij_col_us / column_calls, dij_exp_us / num_expands,
+      n);
   return 0;
 }
 
-/// The viterbi suite: the SoA column kernel against the scalar reference on
-/// an engine-shaped matrix (k = 45), and the HMM engine end to end.
+/// The viterbi suite: the SoA column kernel on an engine-shaped matrix
+/// (k = 45), and the HMM engine end to end.
 int RunViterbiSuite(const std::string& json_path, bool smoke) {
   const int kernel_iters = smoke ? 2000 : 20000;
   const int reps = smoke ? 2 : 3;
@@ -429,21 +368,16 @@ int RunViterbiSuite(const std::string& json_path, bool smoke) {
   }
   std::vector<double> f_cur(kCols);
   std::vector<int> pre(kCols);
-  const auto time_kernel = [&](void (*kernel)(const hmm::WeightMatrix&,
-                                              const double*, double*, int*)) {
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      core::Stopwatch watch;
-      for (int i = 0; i < kernel_iters; ++i) {
-        kernel(w, f_prev.data(), f_cur.data(), pre.data());
-        benchmark::DoNotOptimize(f_cur.data());
-      }
-      best = std::min(best, watch.ElapsedSeconds() * 1e6);
+  double best_kernel_us = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    core::Stopwatch watch;
+    for (int i = 0; i < kernel_iters; ++i) {
+      hmm::ViterbiColumn(w, f_prev.data(), f_cur.data(), pre.data());
+      benchmark::DoNotOptimize(f_cur.data());
     }
-    return best / kernel_iters;
-  };
-  const double ref_us = time_kernel(&hmm::ViterbiColumnReference);
-  const double soa_us = time_kernel(&hmm::ViterbiColumnSoA);
+    best_kernel_us = std::min(best_kernel_us, watch.ElapsedSeconds() * 1e6);
+  }
+  const double soa_us = best_kernel_us / kernel_iters;
 
   // Engine end to end (k = 45, cold cache per rep) on the shared micro env.
   MicroEnv& env = Env();
@@ -475,15 +409,12 @@ int RunViterbiSuite(const std::string& json_path, bool smoke) {
   std::vector<KV> kvs;
   kvs.push_back({"sanitized", static_cast<double>(Sanitized())});
   kvs.push_back({"calib_us", calib_us});
-  kvs.push_back({"column_ref_us", ref_us});
   kvs.push_back({"column_soa_us", soa_us});
-  kvs.push_back({"column_speedup", ref_us / soa_us});
   kvs.push_back({"engine_match_ms", best_match_ms});
   if (!WriteFlatJson(json_path, kvs)) return 2;
   std::printf(
-      "viterbi suite -> %s\n  column ref %.3f us, soa %.3f us (%.2fx);"
-      " engine match %.2f ms/traj\n",
-      json_path.c_str(), ref_us, soa_us, ref_us / soa_us, best_match_ms);
+      "viterbi suite -> %s\n  column soa %.3f us; engine match %.2f ms/traj\n",
+      json_path.c_str(), soa_us, best_match_ms);
   return 0;
 }
 
@@ -494,9 +425,9 @@ int RunViterbiSuite(const std::string& json_path, bool smoke) {
 ///    (what `lhmm_store build` pays once per rollout);
 ///  - "open+validate": mmap plus the full header/TOC/per-section CRC sweep
 ///    (what every worker pays per open, and every swap candidate per swap);
-///  - "materialize": road network, grid index, and CH from the mapping,
-///    against rebuilding the same assets from scratch the way an owned-mode
-///    worker must on every start.
+///  - "materialize": road network and grid index from the mapping, against
+///    rebuilding the grid index from scratch the way an owned-mode worker
+///    must on every start.
 ///
 /// The build/rebuild costs are one-shot (same network in smoke and full
 /// mode), so smoke only trims timing reps, never the workload shape.
@@ -505,14 +436,8 @@ int RunStoreSuite(const std::string& json_path, bool smoke) {
   sim::DatasetConfig cfg = sim::HangzhouSPreset();
   network::RoadNetwork net = network::GenerateCityNetwork(cfg.net);
 
-  // The owned-mode baseline: what every worker rebuilds without a store.
-  core::Stopwatch index_watch;
   network::GridIndex index(&net, 300.0);
-  const double owned_index_ms = index_watch.ElapsedSeconds() * 1e3;
-  core::Stopwatch ch_watch;
-  const network::CHGraph ch = network::CHGraph::Build(net);
-  const double owned_ch_ms = ch_watch.ElapsedSeconds() * 1e3;
-  const uint64_t fp = network::CHGraph::NetworkFingerprint(net);
+  const uint64_t fp = network::NetworkFingerprint(net);
 
   char tmpl[] = "/tmp/lhmm-bench-store-XXXXXX";
   const char* dir = mkdtemp(tmpl);
@@ -522,7 +447,7 @@ int RunStoreSuite(const std::string& json_path, bool smoke) {
   }
   const std::string path = std::string(dir) + "/store-1.lds";
 
-  // Sub-millisecond operations (open, loads) are timed over a batch of
+  // Sub-millisecond operations (index rebuild, open, loads) are timed over a batch of
   // iterations per rep so the committed baseline is not noise-dominated;
   // the build (which fsyncs) runs once per rep.
   const auto time_best = [&](int iters, const std::function<void()>& fn) {
@@ -536,13 +461,18 @@ int RunStoreSuite(const std::string& json_path, bool smoke) {
   };
   const int load_iters = smoke ? 8 : 16;
 
-  // Build: encode all four sections + the atomic temp/rename/fsync write.
+  // The owned-mode baseline: what every worker rebuilds without a store.
+  const double owned_index_ms = time_best(load_iters, [&] {
+    network::GridIndex rebuilt(&net, 300.0);
+    benchmark::DoNotOptimize(rebuilt.network());
+  });
+
+  // Build: encode all three sections + the atomic temp/rename/fsync write.
   bool build_failed = false;
   const double build_ms = time_best(1, [&] {
     store::StoreWriter w;
     w.AddSection(store::kSectionNetwork, store::EncodeNetwork(net));
     w.AddSection(store::kSectionGrid, store::EncodeGridIndex(index));
-    w.AddSection(store::kSectionCH, store::EncodeCHGraph(ch));
     w.AddSection(store::kSectionMeta,
                  store::EncodeMeta({{"source", "bench"}}));
     if (!w.Write(path, fp, 1).ok()) build_failed = true;
@@ -577,16 +507,12 @@ int RunStoreSuite(const std::string& json_path, bool smoke) {
     auto loaded = (*store)->LoadGridIndex(&loaded_net);
     benchmark::DoNotOptimize(loaded.ok());
   });
-  const double load_ch_ms = time_best(load_iters, [&] {
-    auto loaded = (*store)->LoadCHGraph();
-    benchmark::DoNotOptimize(loaded.ok());
-  });
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 
   const double mapped_total_ms =
-      open_validate_ms + load_network_ms + load_grid_ms + load_ch_ms;
-  const double owned_total_ms = owned_index_ms + owned_ch_ms;
+      open_validate_ms + load_network_ms + load_grid_ms;
+  const double owned_total_ms = owned_index_ms;
 
   const double calib_us = CalibrateUs();
   std::vector<KV> kvs;
@@ -599,17 +525,16 @@ int RunStoreSuite(const std::string& json_path, bool smoke) {
   kvs.push_back({"open_validate_ms", open_validate_ms});
   kvs.push_back({"load_network_ms", load_network_ms});
   kvs.push_back({"load_grid_ms", load_grid_ms});
-  kvs.push_back({"load_ch_ms", load_ch_ms});
   kvs.push_back({"mapped_startup_ms", mapped_total_ms});
   kvs.push_back({"owned_startup_ms", owned_total_ms});
   kvs.push_back({"startup_speedup", owned_total_ms / mapped_total_ms});
   if (!WriteFlatJson(json_path, kvs)) return 2;
   std::printf(
       "store suite -> %s\n  build %.1f ms, open+validate %.2f ms, materialize"
-      " net %.1f + grid %.1f + ch %.1f ms\n  startup %.1f ms mapped vs %.1f ms"
+      " net %.1f + grid %.1f ms\n  startup %.1f ms mapped vs %.1f ms"
       " owned rebuild (%.1fx), %lld bytes, %d segments\n",
       json_path.c_str(), build_ms, open_validate_ms, load_network_ms,
-      load_grid_ms, load_ch_ms, mapped_total_ms, owned_total_ms,
+      load_grid_ms, mapped_total_ms, owned_total_ms,
       owned_total_ms / mapped_total_ms, static_cast<long long>(store_bytes),
       net.num_segments());
   return 0;

@@ -186,7 +186,7 @@ std::vector<OnlineTrajectoryEval> EvaluateOnlineParallel(
   for (size_t i = 0; i < split.size(); ++i) {
     OnlineTrajectoryEval& rec = out[i];
     rec.index = static_cast<int>(i);
-    const std::vector<network::SegmentId>& streamed = engine.Committed(ids[i]);
+    const std::vector<network::SegmentId> streamed = engine.Committed(ids[i]);
     rec.metrics =
         ComputePathMetrics(net, streamed, split[i].truth_path, corridor_radius);
     if (offline_paths != nullptr) {

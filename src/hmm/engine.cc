@@ -131,12 +131,12 @@ Decoding Engine::Decode(const traj::Trajectory& t,
     w_cur_.Reset(prev_n, cur_n);
 
     // Phase 1: fill the weight arena (one RouteMany per predecessor over the
-    // shared target list — the column shape CHRouter's corridor reuse keys
-    // on). Model calls happen in (j, k2) order, so stateful models observe a
-    // fixed call sequence. Without shortcuts a row whose f is -inf is
-    // skipped before its route query: all its scores would be -inf, which
-    // the column kernel skips anyway. Algorithm 2 ranks predecessors over
-    // the full matrix, so with shortcuts every row is filled.
+    // shared target list). Model calls happen in (j, k2) order, so stateful
+    // models observe a fixed call sequence. Without shortcuts a row whose f
+    // is -inf is skipped before its route query: all its scores would be
+    // -inf, which the column kernel skips anyway. Algorithm 2 ranks
+    // predecessors over the full matrix, so with shortcuts every row is
+    // filled.
     for (int j = 0; j < prev_n; ++j) {
       if (!config_.use_shortcuts && f[s - 1][j] == kNegInf) continue;
       const Candidate& prev = cands[s - 1][j];
@@ -153,7 +153,7 @@ Decoding Engine::Decode(const traj::Trajectory& t,
       }
     }
     // Phase 2: the batched column update, Eq. (16)-(17) in one tight pass.
-    ViterbiColumnSoA(w_cur_, f[s - 1].data(), f[s].data(), pre[s].data());
+    ViterbiColumn(w_cur_, f[s - 1].data(), f[s].data(), pre[s].data());
 
     if (config_.use_shortcuts && s >= 2) {
       ShortcutPass(t, s, point_index, &cands, w_prev_, w_cur_, &f, &pre);

@@ -8,8 +8,8 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 }
 
-void ViterbiColumnSoA(const WeightMatrix& w, const double* f_prev,
-                      double* f_cur, int* pre_cur) {
+void ViterbiColumn(const WeightMatrix& w, const double* f_prev, double* f_cur,
+                   int* pre_cur) {
   const int rows = w.rows, cols = w.cols;
   for (int k = 0; k < cols; ++k) {
     f_cur[k] = kNegInf;
@@ -26,24 +26,6 @@ void ViterbiColumnSoA(const WeightMatrix& w, const double* f_prev,
       if (score > f_cur[k]) {
         f_cur[k] = score;
         pre_cur[k] = j;
-      }
-    }
-  }
-}
-
-void ViterbiColumnReference(const WeightMatrix& w, const double* f_prev,
-                            double* f_cur, int* pre_cur) {
-  for (int k = 0; k < w.cols; ++k) {
-    f_cur[k] = kNegInf;
-    pre_cur[k] = -1;
-  }
-  for (int j = 0; j < w.rows; ++j) {
-    for (int k = 0; k < w.cols; ++k) {
-      if (!w.Reachable(j, k)) continue;  // Unreachable move.
-      const double score = f_prev[j] + w.At(j, k);  // Eq. (16).
-      if (score > f_cur[k]) {
-        f_cur[k] = score;
-        pre_cur[k] = j;  // Eq. (17).
       }
     }
   }

@@ -44,20 +44,14 @@ struct WeightMatrix {
 /// fills f_cur[0..cols) = max_j f_prev[j] + w(j, k) over reachable pairs
 /// and pre_cur[k] = the arg max (-inf / -1 where nothing reaches k).
 ///
-/// Bit-compatible with the scalar reference below — same j-ascending,
-/// k-ascending evaluation order, same strict-> tie-break keeping the first
-/// maximizer — but runs one tight loop per row over contiguous memory with
-/// f_prev[j] hoisted, skipping rows whose f_prev is -inf outright (such a
-/// row's scores are all -inf and can never displace anything, so the skip
-/// is exact, not approximate).
-void ViterbiColumnSoA(const WeightMatrix& w, const double* f_prev,
-                      double* f_cur, int* pre_cur);
-
-/// The pre-SoA scalar formulation, kept verbatim as the semantics anchor:
-/// tests/hmm_test.cc pins the SoA kernel to it on random matrices, including
-/// all--inf break columns. Not used on the hot path.
-void ViterbiColumnReference(const WeightMatrix& w, const double* f_prev,
-                            double* f_cur, int* pre_cur);
+/// Evaluates j ascending, then k ascending, with a strict-> tie-break keeping
+/// the first maximizer, in one tight loop per row over contiguous memory
+/// with f_prev[j] hoisted. Rows whose f_prev is -inf are skipped outright
+/// (such a row's scores are all -inf and can never displace anything, so the
+/// skip is exact, not approximate). tests/hmm_test.cc pins it bit for bit to
+/// the plain nested-loop formulation.
+void ViterbiColumn(const WeightMatrix& w, const double* f_prev, double* f_cur,
+                   int* pre_cur);
 
 }  // namespace lhmm::hmm
 

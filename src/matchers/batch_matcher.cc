@@ -11,14 +11,6 @@ namespace lhmm::matchers {
 BatchMatcher::BatchMatcher(MatcherFactory factory, const BatchConfig& config)
     : factory_(std::move(factory)), config_(config) {
   CHECK(factory_ != nullptr);
-  if (config_.shared_router == nullptr &&
-      config_.router_backend == network::RouterBackend::kCH) {
-    CHECK(config_.ch_network != nullptr && config_.ch_graph != nullptr)
-        << "RouterBackend::kCH requires ch_network and ch_graph";
-    owned_router_ = std::make_unique<network::CachedRouter>(config_.ch_network,
-                                                            config_.ch_graph);
-    config_.shared_router = owned_router_.get();
-  }
   num_threads_ = config_.num_threads > 0 ? config_.num_threads
                                          : core::ThreadPool::DefaultThreadCount();
   workers_.push_back(factory_());

@@ -8,7 +8,6 @@
 
 #include "core/thread_pool.h"
 #include "matchers/matcher.h"
-#include "network/ch_router.h"
 #include "network/path_cache.h"
 
 namespace lhmm::matchers {
@@ -26,16 +25,7 @@ struct BatchConfig {
   /// Optional thread-safe route cache installed into every worker clone (via
   /// MapMatcher::UseSharedRouter), so shortest-path results amortize across
   /// workers exactly as they amortize across trajectories in serial runs.
-  /// Takes precedence over `router_backend` when set.
   network::CachedRouter* shared_router = nullptr;
-  /// Routing backend when the matcher owns its shared router. With kCH (and
-  /// `shared_router` null), the matcher builds a CachedRouter whose cache
-  /// misses run corridor-pruned CH queries over `ch_graph` instead of plain
-  /// Dijkstra — results stay byte-identical, misses get faster. Requires
-  /// `ch_network`/`ch_graph` (both outliving the matcher).
-  network::RouterBackend router_backend = network::RouterBackend::kDijkstra;
-  const network::RoadNetwork* ch_network = nullptr;
-  const network::CHGraph* ch_graph = nullptr;
 };
 
 /// Wall-clock accounting of the last batch run.
@@ -86,9 +76,6 @@ class BatchMatcher {
 
   MatcherFactory factory_;
   BatchConfig config_;
-  /// Backing CachedRouter when config_.router_backend == kCH and the caller
-  /// did not supply shared_router; config_.shared_router aliases it.
-  std::unique_ptr<network::CachedRouter> owned_router_;
   int num_threads_;
   /// Worker clones, created lazily; workers_[0] doubles as the probe.
   std::vector<std::unique_ptr<MapMatcher>> workers_;

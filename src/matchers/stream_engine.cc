@@ -16,14 +16,6 @@ StreamEngine::StreamEngine(MatcherFactory factory,
   CHECK_GE(config_.max_inbox, 0);
   CHECK_GE(config_.session_ttl, 0);
   CHECK_GE(config_.max_live_sessions, 0);
-  if (config_.shared_router == nullptr &&
-      config_.router_backend == network::RouterBackend::kCH) {
-    CHECK(config_.ch_network != nullptr && config_.ch_graph != nullptr)
-        << "RouterBackend::kCH requires ch_network and ch_graph";
-    owned_router_ = std::make_unique<network::CachedRouter>(config_.ch_network,
-                                                            config_.ch_graph);
-    config_.shared_router = owned_router_.get();
-  }
   num_threads_ = config_.num_threads > 0 ? config_.num_threads
                                          : core::ThreadPool::DefaultThreadCount();
   if (num_threads_ > 1) {
@@ -113,7 +105,7 @@ core::Result<SessionId> StreamEngine::OpenInternal(
     }
     s->last_time = checkpoint->last_time;
     s->seen_point = checkpoint->seen_point;
-    s->stats = s->session->stats();
+    Publish(s.get());
   }
   s->last_activity = clock_;
   ++live_;
@@ -298,6 +290,7 @@ core::Status StreamEngine::Quarantine(SessionId id, const std::string& reason) {
     s->error = core::Status::Unavailable("session " + std::to_string(id) +
                                          " quarantined: " + reason);
     s->inbox.clear();
+    s->committed.clear();
     s->poisoned.store(true, std::memory_order_release);
     // A pump task may still be inside this slot's session (that is exactly
     // the wedged case the watchdog quarantines for), so the session/matcher
@@ -322,22 +315,30 @@ int64_t StreamEngine::inbox_depth(SessionId id) const {
   return static_cast<int64_t>(s->inbox.size());
 }
 
+void StreamEngine::Publish(Slot* s) {
+  s->stats = s->session->stats();
+  // A quarantine that hit mid-event owns the slot's (cleared) output.
+  if (s->poisoned.load(std::memory_order_relaxed)) return;
+  // The committed path only ever grows, so only the new suffix is copied.
+  const std::vector<network::SegmentId>& all = s->session->committed();
+  CHECK_GE(all.size(), s->committed.size());
+  s->committed.insert(s->committed.end(), all.begin() + s->committed.size(),
+                      all.end());
+}
+
 void StreamEngine::Process(Slot* s, std::optional<traj::TrajPoint>& event) {
   if (event.has_value()) {
     s->session->Push(*event);
-    const SessionStats stats = s->session->stats();
     {
       std::lock_guard<std::mutex> lock(s->mu);
-      s->stats = stats;
+      Publish(s);
     }
     s->processed.fetch_add(1, std::memory_order_release);
     return;
   }
-  // End of stream: snapshot the final output, then free the session and its
+  // End of stream: publish the final output, then free the session and its
   // matcher clone so memory tracks live sessions, not total sessions.
   s->session->Finish();
-  std::vector<network::SegmentId> committed = s->session->committed();
-  const SessionStats stats = s->session->stats();
   {
     std::lock_guard<std::mutex> lock(s->mu);
     if (s->poisoned.load(std::memory_order_relaxed)) {
@@ -347,8 +348,7 @@ void StreamEngine::Process(Slot* s, std::optional<traj::TrajPoint>& event) {
       s->matcher.reset();
       return;
     }
-    s->final_committed = std::move(committed);
-    s->stats = stats;
+    Publish(s);
     s->session.reset();
     s->matcher.reset();
   }
@@ -362,6 +362,7 @@ void StreamEngine::Poison(Slot* s, const std::string& what) {
     s->error = core::Status(core::StatusCode::kInternal,
                             "session poisoned: " + what);
     s->inbox.clear();
+    s->committed.clear();
     s->session.reset();
     s->matcher.reset();
   }
@@ -475,12 +476,10 @@ core::Status StreamEngine::SessionError(SessionId id) const {
   return s->error;
 }
 
-const std::vector<network::SegmentId>& StreamEngine::Committed(
-    SessionId id) const {
+std::vector<network::SegmentId> StreamEngine::Committed(SessionId id) const {
   Slot* s = slot(id);
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->session != nullptr) return s->session->committed();
-  return s->final_committed;
+  return s->committed;
 }
 
 SessionStats StreamEngine::Stats(SessionId id) const {

@@ -32,17 +32,8 @@ struct StreamEngineConfig {
   /// Optional thread-safe route cache shared by all sessions (installed into
   /// each session's matcher clone via MapMatcher::UseSharedRouter), so route
   /// results amortize across concurrent trajectories. Pre-heating it with
-  /// CachedRouter::WarmAll removes first-query latency spikes. Takes
-  /// precedence over `router_backend` when set.
+  /// CachedRouter::WarmAll removes first-query latency spikes.
   network::CachedRouter* shared_router = nullptr;
-  /// Routing backend when the engine owns its shared router: with kCH (and
-  /// `shared_router` null) the engine builds a CachedRouter whose misses run
-  /// corridor-pruned CH queries over `ch_graph` — byte-identical results,
-  /// faster cold misses. Requires `ch_network`/`ch_graph` (both outliving
-  /// the engine). See BatchConfig for the batch-side twin of this knob.
-  network::RouterBackend router_backend = network::RouterBackend::kDijkstra;
-  const network::RoadNetwork* ch_network = nullptr;
-  const network::CHGraph* ch_graph = nullptr;
   /// Bound on each session's pending-event queue; 0 = unbounded. When a
   /// producer outruns the pump, `backpressure` decides what gives. The
   /// end-of-stream sentinel is never rejected or dropped.
@@ -114,8 +105,9 @@ struct SessionCheckpoint {
 ///
 /// Thread safety: Open/Push/Finish/AdvanceClock/Barrier may be called from
 /// one producer thread (or externally synchronized producers). Committed()/
-/// Stats() for a session are valid once finished(id) is true or after
-/// Barrier().
+/// Stats() may be called from any thread at any time: they return copies of
+/// what the pump published after the session's last processed event, final
+/// once finished(id) is true or after Barrier().
 class StreamEngine {
  public:
   explicit StreamEngine(MatcherFactory factory,
@@ -222,8 +214,9 @@ class StreamEngine {
   /// OK unless the session is poisoned, in which case the quarantined error.
   core::Status SessionError(SessionId id) const;
 
-  /// The session's committed path. Final after finished(id) / Barrier().
-  const std::vector<network::SegmentId>& Committed(SessionId id) const;
+  /// The session's committed path as of its last processed event (empty for
+  /// a poisoned session). Final after finished(id) / Barrier().
+  std::vector<network::SegmentId> Committed(SessionId id) const;
 
   SessionStats Stats(SessionId id) const;
 
@@ -251,19 +244,20 @@ class StreamEngine {
   /// One session's actor state. `inbox` holds pending events in arrival
   /// order (nullopt = end-of-stream); `scheduled` is true while a pump task
   /// for this slot is queued or running, which is what guarantees per-session
-  /// FIFO processing: there is never more than one. `mu` guards the inbox
-  /// and, once the slot winds down, the handoff of session/matcher into the
-  /// final_* snapshot. The last_* fields are producer-side only.
+  /// FIFO processing: there is never more than one. `mu` guards the inbox,
+  /// the published `committed`/`stats` and the release of session/matcher
+  /// when the slot winds down. The last_* fields are producer-side only.
   struct Slot {
     std::mutex mu;
     std::deque<std::optional<traj::TrajPoint>> inbox;
     bool scheduled = false;
     std::unique_ptr<MapMatcher> matcher;
     std::unique_ptr<StreamingSession> session;
-    std::vector<network::SegmentId> final_committed;
-    /// Guarded by mu. The session's counters as of the last processed event
-    /// (final after end of stream): the pump publishes a copy here, so
-    /// Stats() never reads a session another thread is advancing.
+    /// Guarded by mu. The session's committed path and counters as of the
+    /// last processed event (final after end of stream): the pump publishes
+    /// them here, so Committed()/Stats() never read a session another thread
+    /// is advancing.
+    std::vector<network::SegmentId> committed;
     SessionStats stats;
     core::Status error;                 ///< Guarded by mu; set when poisoned.
     std::atomic<bool> closed{false};    ///< Finish()/eviction was enqueued.
@@ -283,6 +277,10 @@ class StreamEngine {
   core::Status Enqueue(Slot* s, std::optional<traj::TrajPoint> event);
   void Pump(Slot* s);
   void Process(Slot* s, std::optional<traj::TrajPoint>& event);
+  /// Publishes the session's committed suffix beyond `s->committed` and its
+  /// stats. Runs on the thread that owns the session, under s->mu once the
+  /// slot is visible to other threads.
+  static void Publish(Slot* s);
   /// Quarantines the slot: stores the error, frees its matcher/session,
   /// discards queued events. Later events for the slot are ignored.
   void Poison(Slot* s, const std::string& what);
@@ -297,9 +295,6 @@ class StreamEngine {
 
   MatcherFactory factory_;
   StreamEngineConfig config_;
-  /// Backing CachedRouter when config_.router_backend == kCH and the caller
-  /// did not supply shared_router; config_.shared_router aliases it.
-  std::unique_ptr<network::CachedRouter> owned_router_;
   int num_threads_;
   std::unique_ptr<core::ThreadPool> pool_;  ///< Null when num_threads_ == 1.
   mutable std::mutex slots_mu_;             ///< Guards the slots_ container.

@@ -23,10 +23,6 @@ FaultyRouter::FaultyRouter(SegmentRouter* router, const FaultConfig& config)
 FaultyRouter::FaultyRouter(const RoadNetwork* net, const FaultConfig& config)
     : CachedRouter(net), config_(config) {}
 
-FaultyRouter::FaultyRouter(const RoadNetwork* net, const CHGraph* ch,
-                           const FaultConfig& config)
-    : CachedRouter(net, ch), config_(config) {}
-
 double FaultyRouter::Draw(SegmentId from, SegmentId to, uint64_t salt) const {
   uint64_t h = Mix(config_.seed ^ salt);
   h = Mix(h ^ (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32 |

@@ -43,12 +43,6 @@ class FaultyRouter : public CachedRouter {
   /// Self-contained variant over `net`.
   FaultyRouter(const RoadNetwork* net, const FaultConfig& config);
 
-  /// Self-contained variant whose cache misses route through a contraction
-  /// hierarchy (see CachedRouter's CH constructor) — fault injection and the
-  /// CH backend compose, since faults are decided before the lookup.
-  FaultyRouter(const RoadNetwork* net, const CHGraph* ch,
-               const FaultConfig& config);
-
   std::optional<Route> Route1(SegmentId from, SegmentId to,
                               double max_length) override;
   std::vector<std::optional<Route>> RouteMany(

@@ -1,7 +1,6 @@
 #include "network/path_cache.h"
 
 #include "core/logging.h"
-#include "network/ch_router.h"
 
 namespace lhmm::network {
 
@@ -21,16 +20,6 @@ CachedRouter::CachedRouter(const RoadNetwork* net, int num_shards) : net_(net) {
   for (int i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-CachedRouter::CachedRouter(const RoadNetwork* net, const CHGraph* ch,
-                           int num_shards)
-    : net_(net), ch_(ch) {
-  CHECK(net != nullptr);
-  CHECK(ch != nullptr);
-  if (num_shards < 1) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
 SegmentRouter* CachedRouter::AcquireRouter() {
   std::unique_lock<std::mutex> lock(pool_mu_);
   if (!free_routers_.empty()) {
@@ -38,11 +27,7 @@ SegmentRouter* CachedRouter::AcquireRouter() {
     free_routers_.pop_back();
     return r;
   }
-  if (ch_ != nullptr) {
-    owned_routers_.push_back(std::make_unique<CHRouter>(net_, ch_));
-  } else {
-    owned_routers_.push_back(std::make_unique<SegmentRouter>(net_));
-  }
+  owned_routers_.push_back(std::make_unique<SegmentRouter>(net_));
   return owned_routers_.back().get();
 }
 

@@ -13,8 +13,6 @@
 
 namespace lhmm::network {
 
-struct CHGraph;
-
 /// Memoizing wrapper around SegmentRouter. The paper notes that HMM matchers
 /// "can use a precomputation table to avoid the bottleneck of repeated
 /// shortest path searches" [11]; this is that table, filled lazily. Negative
@@ -37,13 +35,6 @@ class CachedRouter {
 
   /// Self-contained variant: all pooled routers are owned.
   explicit CachedRouter(const RoadNetwork* net, int num_shards = kDefaultShards);
-
-  /// Contraction-hierarchy backend: pooled routers are CHRouters over `ch`
-  /// (which must match `net` and outlive this cache). Queries return exactly
-  /// what the Dijkstra backend would — the hierarchy only accelerates the
-  /// misses — so swapping backends never changes matched output.
-  CachedRouter(const RoadNetwork* net, const CHGraph* ch,
-               int num_shards = kDefaultShards);
 
   virtual ~CachedRouter() = default;
 
@@ -100,7 +91,6 @@ class CachedRouter {
   void ReleaseRouter(SegmentRouter* router);
 
   const RoadNetwork* net_;
-  const CHGraph* ch_ = nullptr;  ///< Non-null selects the CH backend.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};

@@ -1,11 +1,32 @@
 #include "network/road_network.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/logging.h"
 #include "core/strings.h"
 
 namespace lhmm::network {
+
+namespace {
+
+uint64_t MixHash(uint64_t h, uint64_t x) {
+  // splitmix64 finalizer folded into a running hash.
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return (h * 0x100000001b3ull) ^ x;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+}  // namespace
 
 NodeId RoadNetwork::AddNode(const geo::Point& pos) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
@@ -198,6 +219,19 @@ bool IsConnectedPath(const RoadNetwork& net, const std::vector<SegmentId>& path)
     if (!net.AreConsecutive(path[i], path[i + 1])) return false;
   }
   return true;
+}
+
+uint64_t NetworkFingerprint(const RoadNetwork& net) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  h = MixHash(h, static_cast<uint64_t>(net.num_nodes()));
+  h = MixHash(h, static_cast<uint64_t>(net.num_segments()));
+  for (SegmentId sid = 0; sid < net.num_segments(); ++sid) {
+    const RoadSegment& seg = net.segment(sid);
+    h = MixHash(h, static_cast<uint64_t>(static_cast<uint32_t>(seg.from)));
+    h = MixHash(h, static_cast<uint64_t>(static_cast<uint32_t>(seg.to)));
+    h = MixHash(h, DoubleBits(seg.length));
+  }
+  return h;
 }
 
 }  // namespace lhmm::network

@@ -132,6 +132,11 @@ double PathLength(const RoadNetwork& net, const std::vector<SegmentId>& path);
 /// Returns true if every consecutive pair in `path` is connected in `net`.
 bool IsConnectedPath(const RoadNetwork& net, const std::vector<SegmentId>& path);
 
+/// Deterministic fingerprint of the network topology + lengths. Model stores
+/// record it in their header and the generation manager pins it, so its bits
+/// must never change: stores already on disk validate against it.
+uint64_t NetworkFingerprint(const RoadNetwork& net);
+
 }  // namespace lhmm::network
 
 #endif  // LHMM_NETWORK_ROAD_NETWORK_H_

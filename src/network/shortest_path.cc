@@ -16,7 +16,7 @@ SegmentRouter::SegmentRouter(const RoadNetwork* net) : net_(net) {
 }
 
 void SegmentRouter::RunDijkstra(NodeId source, const std::vector<NodeId>& target_nodes,
-                                double max_length, const RoutePrune* prune) {
+                                double max_length) {
   ++current_stamp_;
   targets_scratch_ = target_nodes;
   std::sort(targets_scratch_.begin(), targets_scratch_.end());
@@ -46,10 +46,6 @@ void SegmentRouter::RunDijkstra(NodeId source, const std::vector<NodeId>& target
       const double nd = d + seg.length;
       if (nd > max_length) continue;
       if (stamp_[seg.to] != current_stamp_ || nd < dist_[seg.to]) {
-        // Pruning only needs to run when a label would actually change;
-        // an excluded node never gets a label, so the improvement test
-        // above cannot pass for it spuriously.
-        if (prune != nullptr && prune->Excluded(seg.to, nd)) continue;
         stamp_[seg.to] = current_stamp_;
         dist_[seg.to] = nd;
         parent_seg_[seg.to] = sid;
@@ -79,12 +75,6 @@ std::optional<Route> SegmentRouter::Route1(SegmentId from, SegmentId to,
 
 std::vector<std::optional<Route>> SegmentRouter::RouteMany(
     SegmentId from, const std::vector<SegmentId>& targets, double max_length) {
-  return RouteManyImpl(from, targets, max_length, nullptr);
-}
-
-std::vector<std::optional<Route>> SegmentRouter::RouteManyImpl(
-    SegmentId from, const std::vector<SegmentId>& targets, double max_length,
-    const RoutePrune* prune) {
   std::vector<std::optional<Route>> out(targets.size());
   const RoadSegment& src = net_->segment(from);
 
@@ -95,7 +85,7 @@ std::vector<std::optional<Route>> SegmentRouter::RouteManyImpl(
     target_nodes.push_back(net_->segment(targets[i]).from);
   }
   if (!target_nodes.empty()) {
-    RunDijkstra(src.to, target_nodes, max_length, prune);
+    RunDijkstra(src.to, target_nodes, max_length);
   }
 
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -119,14 +109,8 @@ std::vector<std::optional<Route>> SegmentRouter::RouteManyImpl(
 }
 
 double SegmentRouter::NodeDistance(NodeId from, NodeId to, double max_length) {
-  return NodeDistanceImpl(from, to, max_length, nullptr);
-}
-
-double SegmentRouter::NodeDistanceImpl(NodeId from, NodeId to,
-                                       double max_length,
-                                       const RoutePrune* prune) {
   if (from == to) return 0.0;
-  RunDijkstra(from, {to}, max_length, prune);
+  RunDijkstra(from, {to}, max_length);
   if (settled_stamp_[to] != current_stamp_) return -1.0;
   return dist_[to];
 }

@@ -18,39 +18,12 @@ struct Route {
   std::vector<SegmentId> segments;
 };
 
-/// A node-exclusion oracle for corridor-pruned Dijkstra runs. `reach[v]`
-/// (valid when `reach_stamp[v] == stamp`) is a conservative lower bound on
-/// the remaining distance from `v` to the nearest query target; nodes whose
-/// best-known distance plus that bound exceeds `cutoff` cannot lie on any
-/// in-bound route and may be skipped. Labels are materialized lazily: on a
-/// stamp miss, `materialize(ctx, v)` computes the label (filling the memo
-/// as a side effect) and returns it, so the hot path stays two array reads
-/// while the supplier never has to label the whole graph up front.
-/// Suppliers (CHRouter) must build `cutoff` with enough slack over the
-/// query bound that the skipped set provably excludes nothing the unpruned
-/// search would keep — pruning then changes which nodes are *explored*,
-/// never any returned result.
-struct RoutePrune {
-  const double* reach = nullptr;
-  const int* reach_stamp = nullptr;
-  int stamp = 0;
-  double cutoff = 0.0;
-  double (*materialize)(void* ctx, NodeId v) = nullptr;
-  void* ctx = nullptr;
-
-  bool Excluded(NodeId v, double dist_so_far) const {
-    const double r =
-        reach_stamp[v] == stamp ? reach[v] : materialize(ctx, v);
-    return dist_so_far + r > cutoff;
-  }
-};
-
 /// Dijkstra-based router between road segments with bounded search and
 /// one-to-many queries. Keeps per-instance scratch buffers, so one instance
 /// should be reused across queries (not thread safe).
 ///
-/// The query surface is virtual so preprocessed backends (CHRouter) can stand
-/// in anywhere a SegmentRouter* is accepted — notably CachedRouter's pool.
+/// Route1 and RouteMany are virtual so instrumented routers can stand in
+/// anywhere a SegmentRouter* is accepted — notably CachedRouter's pool.
 class SegmentRouter {
  public:
   /// The network must outlive the router.
@@ -72,24 +45,13 @@ class SegmentRouter {
 
   /// Node-to-node shortest path distance bounded by `max_length`; -1 when
   /// unreachable. Exposed for tests and the simulator.
-  virtual double NodeDistance(NodeId from, NodeId to, double max_length);
+  double NodeDistance(NodeId from, NodeId to, double max_length);
 
   const RoadNetwork* network() const { return net_; }
 
- protected:
-  /// The actual search, optionally corridor-pruned. All public entry points
-  /// (here and in subclasses) funnel into these, so every backend produces
-  /// results from the identical relax/settle/backtrack code path — the
-  /// foundation of the bit-identical-results contract.
-  std::vector<std::optional<Route>> RouteManyImpl(
-      SegmentId from, const std::vector<SegmentId>& targets, double max_length,
-      const RoutePrune* prune);
-  double NodeDistanceImpl(NodeId from, NodeId to, double max_length,
-                          const RoutePrune* prune);
-
  private:
   void RunDijkstra(NodeId source, const std::vector<NodeId>& target_nodes,
-                   double max_length, const RoutePrune* prune);
+                   double max_length);
   /// Reconstructs the intermediate segment chain ending at `node`.
   std::vector<SegmentId> BacktrackSegments(NodeId node) const;
 

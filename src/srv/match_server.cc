@@ -249,11 +249,9 @@ core::Status MatchServer::SessionStatus(int64_t id) const {
   return core::Status::Internal("unreachable");
 }
 
-const std::vector<network::SegmentId>& MatchServer::Committed(
-    int64_t id) const {
-  static const std::vector<network::SegmentId> kEmpty;
+std::vector<network::SegmentId> MatchServer::Committed(int64_t id) const {
   const Sess& s = sess(id);
-  if (s.missing || s.engine_id < 0) return kEmpty;
+  if (s.missing || s.engine_id < 0) return {};
   return engine_->Committed(s.engine_id);
 }
 

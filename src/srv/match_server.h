@@ -210,7 +210,7 @@ class MatchServer {
   /// kUnavailable for quarantine/eviction/non-restored, or the pump error).
   core::Status SessionStatus(int64_t id) const;
 
-  const std::vector<network::SegmentId>& Committed(int64_t id) const;
+  std::vector<network::SegmentId> Committed(int64_t id) const;
   matchers::SessionStats Stats(int64_t id) const;
 
   /// Events the session's pump has fully processed (lock-free; safe to poll

@@ -160,7 +160,7 @@ bool CommandProcessor::Process(const std::string& line, std::string* response,
       *response = ErrLine(known);
       return true;
     }
-    const std::vector<network::SegmentId>& path = server_->Committed(id);
+    const std::vector<network::SegmentId> path = server_->Committed(id);
     *response = core::StrFormat("ok committed %lld %zu",
                                 static_cast<long long>(id), path.size());
     for (const network::SegmentId s : path) {

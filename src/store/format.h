@@ -9,7 +9,7 @@ namespace lhmm::store {
 /// On-disk layout of a versioned asset store (`store-<gen>.lds` inside a
 /// generation directory, see store/generations.h). One relocatable file holds
 /// every heavy immutable asset a serving process needs — road network, grid
-/// index, contraction hierarchy, trained LHMM and seq2seq weights — so N
+/// index, trained LHMM and seq2seq weights — so N
 /// workers (and N *processes*) share one physical copy through the page
 /// cache instead of N private deserialized heaps.
 ///
@@ -18,7 +18,7 @@ namespace lhmm::store {
 ///   [0,  8)  magic "LHMMSTR1"
 ///   [8, 12)  u32 format version (kFormatVersion; larger = typed reject)
 ///   [12,16)  u32 section count
-///   [16,24)  u64 network fingerprint (network::CHGraph::NetworkFingerprint)
+///   [16,24)  u64 network fingerprint (network::NetworkFingerprint)
 ///   [24,32)  u64 total file bytes (guards torn tails before any TOC read)
 ///   [32,40)  u64 generation stamp (matches the gen-<N> directory)
 ///   [40,48)  u64 reserved (zero)
@@ -56,7 +56,6 @@ constexpr uint32_t SectionTag(const char (&s)[5]) {
 inline constexpr uint32_t kSectionMeta = SectionTag("META");     ///< key=value text.
 inline constexpr uint32_t kSectionNetwork = SectionTag("NETW");  ///< Road network CSR.
 inline constexpr uint32_t kSectionGrid = SectionTag("GRID");     ///< Grid index cells.
-inline constexpr uint32_t kSectionCH = SectionTag("CHGR");       ///< Contraction hierarchy.
 inline constexpr uint32_t kSectionLhmm = SectionTag("LHMM");     ///< Trained LHMM weights.
 inline constexpr uint32_t kSectionSeq2Seq = SectionTag("S2SW");  ///< Seq2seq weights.
 

@@ -336,49 +336,6 @@ core::Result<std::unique_ptr<network::GridIndex>> MappedStore::LoadGridIndex(
   return std::make_unique<network::GridIndex>(net, snap);
 }
 
-core::Result<network::CHGraph> MappedStore::LoadCHGraph() const {
-  core::Result<SectionView> view = Section(kSectionCH);
-  if (!view.ok()) return view.status();
-  SectionReader r(path_, *view);
-  network::CHGraph ch;
-  int64_t up_edges = 0;
-  int64_t down_edges = 0;
-  LHMM_RETURN_IF_ERROR(r.ReadPod(&ch.num_nodes));
-  LHMM_RETURN_IF_ERROR(r.ReadPod(&ch.num_shortcuts));
-  LHMM_RETURN_IF_ERROR(r.ReadPod(&ch.fingerprint));
-  LHMM_RETURN_IF_ERROR(r.ReadPod(&up_edges));
-  LHMM_RETURN_IF_ERROR(r.ReadPod(&down_edges));
-  if (ch.num_nodes < 0 || up_edges < 0 || down_edges < 0) {
-    return io::OffsetError(path_, static_cast<int64_t>(view->offset),
-                           "negative CH counts");
-  }
-  const size_t n = static_cast<size_t>(ch.num_nodes);
-  LHMM_RETURN_IF_ERROR(r.ReadVec(&ch.rank, n));
-  LHMM_RETURN_IF_ERROR(r.ReadVec(&ch.up_begin, n + 1));
-  LHMM_RETURN_IF_ERROR(r.ReadVec(&ch.up_head, static_cast<size_t>(up_edges)));
-  LHMM_RETURN_IF_ERROR(r.ReadVec(&ch.up_weight, static_cast<size_t>(up_edges)));
-  LHMM_RETURN_IF_ERROR(r.ReadVec(&ch.down_begin, n + 1));
-  LHMM_RETURN_IF_ERROR(
-      r.ReadVec(&ch.down_tail, static_cast<size_t>(down_edges)));
-  LHMM_RETURN_IF_ERROR(
-      r.ReadVec(&ch.down_weight, static_cast<size_t>(down_edges)));
-  if (r.Remaining() != 0) {
-    return io::OffsetError(path_, r.FileOffset(),
-                           "trailing bytes after CH payload");
-  }
-  if (ch.fingerprint != fingerprint_) {
-    return io::OffsetError(path_, static_cast<int64_t>(view->offset),
-                           "CH section fingerprint disagrees with the store "
-                           "header");
-  }
-  const std::string problem = ch.Validate();
-  if (!problem.empty()) {
-    return io::OffsetError(path_, static_cast<int64_t>(view->offset), problem);
-  }
-  ch.Finish();
-  return ch;
-}
-
 core::Status MappedStore::ApplyLhmmWeights(lhmm::LhmmModel* model) const {
   core::Result<SectionView> view = Section(kSectionLhmm);
   if (!view.ok()) return view.status();

@@ -10,7 +10,6 @@
 #include "core/status.h"
 #include "lhmm/model.h"
 #include "matchers/seq2seq.h"
-#include "network/contraction.h"
 #include "network/grid_index.h"
 #include "network/road_network.h"
 #include "store/format.h"
@@ -78,9 +77,6 @@ class MappedStore {
   /// skipping the geometry scan.
   core::Result<std::unique_ptr<network::GridIndex>> LoadGridIndex(
       const network::RoadNetwork* net) const;
-
-  /// Rebuilds the contraction hierarchy (structurally validated, Finish()ed).
-  core::Result<network::CHGraph> LoadCHGraph() const;
 
   /// Applies the stored LHMM weights onto an architecture-matching model:
   /// parameter tensors, the four feature norms, and the node embeddings.

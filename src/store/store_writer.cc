@@ -141,23 +141,6 @@ std::string EncodeGridIndex(const network::GridIndex& index) {
   return out;
 }
 
-std::string EncodeCHGraph(const network::CHGraph& ch) {
-  std::string out;
-  AppendPod(&out, ch.num_nodes);
-  AppendPod(&out, ch.num_shortcuts);
-  AppendPod(&out, ch.fingerprint);
-  AppendPod(&out, ch.num_up_edges());
-  AppendPod(&out, ch.num_down_edges());
-  AppendVec(&out, ch.rank);
-  AppendVec(&out, ch.up_begin);
-  AppendVec(&out, ch.up_head);
-  AppendVec(&out, ch.up_weight);
-  AppendVec(&out, ch.down_begin);
-  AppendVec(&out, ch.down_tail);
-  AppendVec(&out, ch.down_weight);
-  return out;
-}
-
 std::string EncodeLhmmWeights(const lhmm::LhmmModel& model) {
   std::string out;
   const lhmm::FeatureNorm norms[4] = {model.obs_dist_norm, model.obs_cofreq_norm,

@@ -9,7 +9,6 @@
 #include "io/env.h"
 #include "lhmm/model.h"
 #include "matchers/seq2seq.h"
-#include "network/contraction.h"
 #include "network/grid_index.h"
 #include "network/road_network.h"
 #include "store/format.h"
@@ -52,9 +51,6 @@ std::string EncodeNetwork(const network::RoadNetwork& net);
 
 /// Grid index cell buckets (so consumers skip the build pass).
 std::string EncodeGridIndex(const network::GridIndex& index);
-
-/// Contraction hierarchy CSR halves (same arrays io/ch_io.h persists).
-std::string EncodeCHGraph(const network::CHGraph& ch);
 
 /// Trained LHMM weights: every parameter tensor, the four explicit-feature
 /// normalizations, and the cached node embeddings.

@@ -15,8 +15,6 @@
 #include "matchers/batch_matcher.h"
 #include "matchers/classic_matchers.h"
 #include "matchers/ivmm.h"
-#include "network/ch_router.h"
-#include "network/contraction.h"
 #include "network/generators.h"
 #include "network/grid_index.h"
 #include "network/path_cache.h"
@@ -203,14 +201,11 @@ class BatchDeterminismTest : public ::testing::Test {
     inputs.num_towers = static_cast<int>(ds_->towers.size());
     inputs.train = &ds_->train;
     model_ = new std::shared_ptr<lhmm::LhmmModel>(TrainLhmm(inputs, lhmm_cfg));
-    ch_ = new network::CHGraph(network::CHGraph::Build(ds_->network));
   }
   static void TearDownTestSuite() {
-    delete ch_;
     delete model_;
     delete index_;
     delete ds_;
-    ch_ = nullptr;
     model_ = nullptr;
     index_ = nullptr;
     ds_ = nullptr;
@@ -222,9 +217,12 @@ class BatchDeterminismTest : public ::testing::Test {
     matchers::BatchStats stats;
   };
 
-  static BatchOutput Run(const matchers::MatcherFactory& factory, int threads) {
+  /// One batch run behind a fresh shared cache, pre-warmed when `warm`.
+  static BatchOutput Run(const matchers::MatcherFactory& factory, int threads,
+                         bool warm = false) {
     traj::FilterConfig filters;
     network::CachedRouter shared_cache(&ds_->network);
+    if (warm) shared_cache.WarmAll(*index_, 1500.0);
     matchers::BatchConfig config;
     config.num_threads = threads;
     config.shared_router = &shared_cache;
@@ -291,77 +289,24 @@ class BatchDeterminismTest : public ::testing::Test {
     ExpectSameOutput(serial, parallel, "threads 1 vs 4");
   }
 
-  /// One batch run against a specific routing setup.
-  static BatchOutput RunBackend(const matchers::MatcherFactory& factory,
-                                int threads, network::RouterBackend backend,
-                                bool warm) {
-    traj::FilterConfig filters;
-    matchers::BatchConfig config;
-    config.num_threads = threads;
-    network::CachedRouter shared_cache =
-        backend == network::RouterBackend::kCH
-            ? network::CachedRouter(&ds_->network, ch_)
-            : network::CachedRouter(&ds_->network);
-    if (threads == kOwnedRouterThreads &&
-        backend == network::RouterBackend::kCH && !warm) {
-      // Exercise the BatchConfig router_backend path (the matcher builds and
-      // owns its CH-backed cache) instead of handing it a shared_router.
-      config.router_backend = backend;
-      config.ch_network = &ds_->network;
-      config.ch_graph = ch_;
-    } else {
-      if (warm) shared_cache.WarmAll(*index_, 1500.0);
-      config.shared_router = &shared_cache;
-    }
-    matchers::BatchMatcher batch(factory, config);
-    BatchOutput out;
-    out.records = eval::EvaluatePerTrajectoryParallel(&batch, ds_->network,
-                                                      ds_->test, filters);
-    std::vector<traj::Trajectory> cleaned;
-    for (const auto& mt : ds_->test) {
-      cleaned.push_back(eval::Preprocess(mt.cellular, filters));
-    }
-    out.results = batch.MatchAll(cleaned);
-    out.stats = batch.last_stats();
-    return out;
-  }
-
-  /// The routing-backend equivalence contract: every (backend, threads,
-  /// cache-temperature) combination produces byte-identical output. The cold
-  /// runs are the strong half — every route query actually executes (CH on
-  /// one side, plain Dijkstra on the other) instead of being served from a
-  /// pre-warmed table.
-  static void ExpectBackendsByteIdentical(
+  /// The route-cache transparency contract: a cold cache on one thread,
+  /// where every route query actually runs its Dijkstra, and a pre-warmed
+  /// cache on 8 threads, where nearly every query is a hit, produce
+  /// byte-identical output.
+  static void ExpectWarmCacheByteIdentical(
       const matchers::MatcherFactory& factory) {
-    const BatchOutput oracle =
-        RunBackend(factory, 1, network::RouterBackend::kDijkstra, false);
-    ExpectSameOutput(
-        oracle, RunBackend(factory, 1, network::RouterBackend::kCH, false),
-        "ch cold 1 thread");
-    ExpectSameOutput(
-        oracle, RunBackend(factory, 8, network::RouterBackend::kCH, false),
-        "ch cold 8 threads (owned router)");
-    ExpectSameOutput(
-        oracle,
-        RunBackend(factory, 8, network::RouterBackend::kDijkstra, true),
-        "dijkstra warm 8 threads");
-    ExpectSameOutput(
-        oracle, RunBackend(factory, 8, network::RouterBackend::kCH, true),
-        "ch warm 8 threads");
+    ExpectSameOutput(Run(factory, 1), Run(factory, 8, /*warm=*/true),
+                     "cold 1 thread vs warm 8 threads");
   }
-
-  static constexpr int kOwnedRouterThreads = 8;
 
   static sim::Dataset* ds_;
   static network::GridIndex* index_;
   static std::shared_ptr<lhmm::LhmmModel>* model_;
-  static network::CHGraph* ch_;
 };
 
 sim::Dataset* BatchDeterminismTest::ds_ = nullptr;
 network::GridIndex* BatchDeterminismTest::index_ = nullptr;
 std::shared_ptr<lhmm::LhmmModel>* BatchDeterminismTest::model_ = nullptr;
-network::CHGraph* BatchDeterminismTest::ch_ = nullptr;
 
 TEST_F(BatchDeterminismTest, ClassicHmmWithShortcuts) {
   const network::RoadNetwork* net = &ds_->network;
@@ -394,39 +339,38 @@ TEST_F(BatchDeterminismTest, Lhmm) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing-backend equivalence: the full matching pipeline (preprocessing,
+// Route-cache transparency: the full matching pipeline (preprocessing,
 // candidates, Viterbi, shortcut pass, path expansion, metrics) produces
-// byte-identical output whether route queries run plain bounded Dijkstra or
-// the corridor-pruned contraction hierarchy — cold and warm, serial and
-// 8-way parallel.
+// byte-identical output whether every route query runs its Dijkstra or is
+// served from a pre-warmed cache.
 // ---------------------------------------------------------------------------
 
-TEST_F(BatchDeterminismTest, ChBackendByteIdenticalClassicHmmWithShortcuts) {
+TEST_F(BatchDeterminismTest, WarmCacheByteIdenticalClassicHmmWithShortcuts) {
   const network::RoadNetwork* net = &ds_->network;
   const network::GridIndex* index = index_;
   hmm::ClassicModelConfig models;
   hmm::EngineConfig engine;
   engine.k = 12;
   engine.use_shortcuts = true;
-  ExpectBackendsByteIdentical([=] {
+  ExpectWarmCacheByteIdentical([=] {
     return std::make_unique<matchers::StmMatcher>(net, index, models, engine);
   });
 }
 
-TEST_F(BatchDeterminismTest, ChBackendByteIdenticalIvmm) {
+TEST_F(BatchDeterminismTest, WarmCacheByteIdenticalIvmm) {
   const network::RoadNetwork* net = &ds_->network;
   const network::GridIndex* index = index_;
   hmm::ClassicModelConfig models;
-  ExpectBackendsByteIdentical([=] {
+  ExpectWarmCacheByteIdentical([=] {
     return std::make_unique<matchers::IvmmMatcher>(net, index, models, 10);
   });
 }
 
-TEST_F(BatchDeterminismTest, ChBackendByteIdenticalLhmm) {
+TEST_F(BatchDeterminismTest, WarmCacheByteIdenticalLhmm) {
   const network::RoadNetwork* net = &ds_->network;
   const network::GridIndex* index = index_;
   std::shared_ptr<lhmm::LhmmModel> model = *model_;
-  ExpectBackendsByteIdentical([=] {
+  ExpectWarmCacheByteIdentical([=] {
     return std::make_unique<lhmm::LhmmMatcher>(net, index, model);
   });
 }

@@ -72,6 +72,16 @@ TEST(RoadNetworkTest, LargestScc) {
   EXPECT_TRUE(pruned.Validate().ok());
 }
 
+TEST(RoadNetworkTest, FingerprintBitsArePinned) {
+  // Model stores record this value in their header and the generation
+  // manager compares it on every open, so stores already on disk only stay
+  // servable while these bits never change.
+  EXPECT_EQ(NetworkFingerprint(GenerateGridNetwork(6, 6, 200.0)),
+            0x9e8cc257d0b713baull);
+  EXPECT_EQ(NetworkFingerprint(GenerateGridNetwork(10, 10, 200.0)),
+            0x94289df9c5fed466ull);
+}
+
 TEST(GridIndexTest, RadiusQueryAndNearest) {
   RoadNetwork net = GenerateGridNetwork(5, 5, 100.0);
   GridIndex index(&net, 80.0);

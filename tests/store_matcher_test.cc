@@ -22,7 +22,6 @@
 #include "matchers/ivmm.h"
 #include "matchers/seq2seq.h"
 #include "matchers/stream_engine.h"
-#include "network/contraction.h"
 #include "network/grid_index.h"
 #include "network/path_cache.h"
 #include "sim/dataset.h"
@@ -85,7 +84,7 @@ class StoreMatcherTest : public ::testing::Test {
     w.AddSection(store::kSectionGrid, store::EncodeGridIndex(*index_));
     w.AddSection(store::kSectionLhmm, store::EncodeLhmmWeights(**model_));
     w.AddSection(store::kSectionSeq2Seq, store::EncodeSeq2SeqWeights(*s2s_));
-    const uint64_t fp = network::CHGraph::NetworkFingerprint(ds_->network);
+    const uint64_t fp = network::NetworkFingerprint(ds_->network);
     ASSERT_TRUE(w.Write(*store_path_, fp, 1).ok());
 
     // The store-backed world: every asset re-materialized from the mapping,

@@ -9,6 +9,7 @@
 #include <cerrno>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +21,7 @@
 #include "io/env.h"
 #include "io/fault_file.h"
 #include "io/journal.h"
-#include "network/contraction.h"
+#include "lhmm/trainer.h"
 #include "network/generators.h"
 #include "network/grid_index.h"
 #include "store/generations.h"
@@ -40,20 +41,18 @@ class StoreTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
     net_ = network::GenerateGridNetwork(6, 6, 200.0);
     index_ = std::make_unique<network::GridIndex>(&net_, 300.0);
-    ch_ = network::CHGraph::Build(net_);
-    fingerprint_ = network::CHGraph::NetworkFingerprint(net_);
+    fingerprint_ = network::NetworkFingerprint(net_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string Path(const std::string& name) const { return dir_ / name; }
 
-  /// Writes a full store (network + grid + CH + meta) to `name`.
+  /// Writes a full store (network + grid + meta) to `name`.
   std::string WriteStore(const std::string& name, uint64_t generation = 1,
                          uint64_t fingerprint = 0) {
     StoreWriter w;
     w.AddSection(kSectionNetwork, EncodeNetwork(net_));
     w.AddSection(kSectionGrid, EncodeGridIndex(*index_));
-    w.AddSection(kSectionCH, EncodeCHGraph(ch_));
     w.AddSection(kSectionMeta, EncodeMeta({{"source", "test"}}));
     const std::string path = Path(name);
     EXPECT_TRUE(
@@ -65,7 +64,6 @@ class StoreTest : public ::testing::Test {
   std::filesystem::path dir_;
   network::RoadNetwork net_;
   std::unique_ptr<network::GridIndex> index_;
-  network::CHGraph ch_;
   uint64_t fingerprint_ = 0;
 };
 
@@ -105,9 +103,9 @@ TEST_F(StoreTest, NetworkRoundTripsExactly) {
       EXPECT_EQ(a.geometry.points()[i].y, b.geometry.points()[i].y);
     }
   }
-  // The CH fingerprint of the round-tripped network matches, which is the
+  // The fingerprint of the round-tripped network matches, which is the
   // whole-network exactness check in one number.
-  EXPECT_EQ(network::CHGraph::NetworkFingerprint(got), fingerprint_);
+  EXPECT_EQ(network::NetworkFingerprint(got), fingerprint_);
 }
 
 TEST_F(StoreTest, GridIndexRoundTripsExactly) {
@@ -127,23 +125,69 @@ TEST_F(StoreTest, GridIndexRoundTripsExactly) {
   EXPECT_EQ(a.ids, b.ids);
 }
 
-TEST_F(StoreTest, CHGraphRoundTripsExactly) {
-  const std::string path = WriteStore("a.lds");
-  auto store = MappedStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  auto loaded = (*store)->LoadCHGraph();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->fingerprint, ch_.fingerprint);
-  EXPECT_EQ(loaded->num_nodes, ch_.num_nodes);
-  EXPECT_EQ(loaded->num_shortcuts, ch_.num_shortcuts);
-  EXPECT_EQ(loaded->rank, ch_.rank);
-  EXPECT_EQ(loaded->up_begin, ch_.up_begin);
-  EXPECT_EQ(loaded->up_head, ch_.up_head);
-  EXPECT_EQ(loaded->up_weight, ch_.up_weight);
-  EXPECT_EQ(loaded->down_begin, ch_.down_begin);
-  EXPECT_EQ(loaded->down_tail, ch_.down_tail);
-  EXPECT_EQ(loaded->down_weight, ch_.down_weight);
-  EXPECT_EQ(loaded->Validate(), "");
+/// An untrained LHMM over the test grid: the architecture a store's LHMM
+/// section must fit, with initial weights drawn from `seed`. Its one
+/// training trajectory drives east along the bottom row.
+std::unique_ptr<lhmm::LhmmModel> ShellModel(const network::RoadNetwork& net,
+                                            const network::GridIndex& index,
+                                            uint64_t seed) {
+  traj::MatchedTrajectory mt;
+  for (int c = 0; c < 5; ++c) {
+    for (const network::SegmentId sid : net.OutSegments(c)) {
+      if (net.segment(sid).to == c + 1) mt.truth_path.push_back(sid);
+    }
+    const double x = 100.0 + 200.0 * c;
+    mt.cellular.points.push_back({{x, 30.0}, 20.0 * c, c % 4});
+    mt.gps.points.push_back({{x, 0.0}, 20.0 * c, c % 4});
+  }
+  const std::vector<traj::MatchedTrajectory> train = {mt};
+  lhmm::TrainInputs inputs;
+  inputs.net = &net;
+  inputs.index = &index;
+  inputs.num_towers = 4;
+  inputs.train = &train;
+  lhmm::LhmmConfig cfg;
+  cfg.obs_steps = 0;
+  cfg.trans_steps = 0;
+  cfg.fusion_steps = 0;
+  cfg.encoder.dim = 8;
+  cfg.seed = seed;
+  return lhmm::TrainLhmm(inputs, cfg);
+}
+
+TEST_F(StoreTest, StoreWithLegacyCHGRSectionStillServes) {
+  // Stores published while a contraction-hierarchy router existed carry a
+  // "CHGR" section. Open() CRC-checks it like every other section and
+  // nothing reads it, so such stores keep opening and serving.
+  const std::unique_ptr<lhmm::LhmmModel> model = ShellModel(net_, *index_, 1);
+  StoreWriter w;
+  w.AddSection(kSectionNetwork, EncodeNetwork(net_));
+  w.AddSection(kSectionGrid, EncodeGridIndex(*index_));
+  w.AddSection(SectionTag("CHGR"), std::string("\x01\x02\x03legacy\xff", 10));
+  w.AddSection(kSectionLhmm, EncodeLhmmWeights(*model));
+  const std::string path = Path("legacy.lds");
+  ASSERT_TRUE(w.Write(path, fingerprint_, 1).ok());
+
+  auto store = MappedStore::Open(path, fingerprint_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_TRUE((*store)->HasSection(SectionTag("CHGR")));
+
+  auto net = (*store)->LoadNetwork();
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  EXPECT_EQ(EncodeNetwork(*net), EncodeNetwork(net_));
+  auto grid = (*store)->LoadGridIndex(&*net);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  EXPECT_EQ(EncodeGridIndex(**grid), EncodeGridIndex(*index_));
+  // Weights land on a shell whose own initial weights differ.
+  const std::unique_ptr<lhmm::LhmmModel> shell = ShellModel(net_, *index_, 2);
+  ASSERT_NE(EncodeLhmmWeights(*shell), EncodeLhmmWeights(*model));
+  ASSERT_TRUE((*store)->ApplyLhmmWeights(shell.get()).ok());
+  EXPECT_EQ(EncodeLhmmWeights(*shell), EncodeLhmmWeights(*model));
+
+  // The operator-facing check accepts it too.
+  const std::string validate = std::string(LHMM_STORE_BIN) +
+                               " validate --file " + path + " > /dev/null";
+  EXPECT_EQ(std::system(validate.c_str()), 0) << validate;
 }
 
 TEST_F(StoreTest, MetaAndSectionViews) {
@@ -280,7 +324,6 @@ class GenerationsTest : public StoreTest {
     StoreWriter w;
     w.AddSection(kSectionNetwork, EncodeNetwork(net_));
     w.AddSection(kSectionGrid, EncodeGridIndex(*index_));
-    w.AddSection(kSectionCH, EncodeCHGraph(ch_));
     const std::string path = StorePath(Root(), gen);
     EXPECT_TRUE(w.Write(path, fingerprint_, gen).ok());
     return path;
@@ -361,14 +404,12 @@ TEST_F(GenerationsTest, SwapAcrossNetworksIsRejectedEvenWithoutExpectation) {
   // Gen 5 is a *different* road network: same format, wrong world.
   network::RoadNetwork other = network::GenerateGridNetwork(4, 7, 150.0);
   network::GridIndex other_index(&other, 300.0);
-  network::CHGraph other_ch = network::CHGraph::Build(other);
   std::filesystem::create_directories(GenerationDir(Root(), 5));
   StoreWriter w;
   w.AddSection(kSectionNetwork, EncodeNetwork(other));
   w.AddSection(kSectionGrid, EncodeGridIndex(other_index));
-  w.AddSection(kSectionCH, EncodeCHGraph(other_ch));
   ASSERT_TRUE(w.Write(StorePath(Root(), 5),
-                      network::CHGraph::NetworkFingerprint(other), 5)
+                      network::NetworkFingerprint(other), 5)
                   .ok());
   // Opened with no expectation: the manager pins gen 1's own fingerprint.
   auto mgr = GenerationManager::Open(Root());
@@ -430,7 +471,6 @@ TEST_F(StoreTest, WriterFaultMatrixNeverLeavesAPartialStore) {
     StoreWriter w;
     w.AddSection(kSectionNetwork, EncodeNetwork(net_));
     w.AddSection(kSectionGrid, EncodeGridIndex(*index_));
-    w.AddSection(kSectionCH, EncodeCHGraph(ch_));
     const core::Status st = w.Write(path, fingerprint_, 1, &env);
     ASSERT_FALSE(st.ok()) << io::EnvOpName(op);
     EXPECT_EQ(env.injected_faults(), 1) << io::EnvOpName(op);
@@ -458,7 +498,6 @@ TEST_F(GenerationsFaultTest, FailedPublishNeverMovesCurrentOrTheServingHandle) {
       StoreWriter w;
       w.AddSection(kSectionNetwork, EncodeNetwork(net_));
       w.AddSection(kSectionGrid, EncodeGridIndex(*index_));
-      w.AddSection(kSectionCH, EncodeCHGraph(ch_));
       for (int64_t gen = 1; gen <= 2; ++gen) {
         std::filesystem::create_directories(GenerationDir(root, gen));
         ASSERT_TRUE(w.Write(StorePath(root, gen), fingerprint_, gen).ok());

@@ -258,6 +258,69 @@ TEST(StreamEngineStatsTest, StatsArePollableWhilePushesAreInFlight) {
   EXPECT_EQ(engine.TotalStats().points_committed, kSessions * t.size());
 }
 
+// Committed() is polled between pushes while pool threads run the same
+// sessions' events. Under ThreadSanitizer this is the race check: the poll
+// must copy the path the pump published, never the vector the pump appends
+// to.
+TEST(StreamEngineStatsTest, CommittedIsPollableWhilePushesAreInFlight) {
+  GridHarness h;
+  const network::RoadNetwork* net = &h.net;
+  const network::GridIndex* index = h.index.get();
+  const hmm::ClassicModelConfig models = h.models;
+  hmm::EngineConfig ec;
+  ec.k = 8;
+  const matchers::MatcherFactory factory = [=] {
+    return std::make_unique<matchers::StmMatcher>(net, index, models, ec);
+  };
+  // Back and forth along the bottom row, so the pumps stay busy for a while.
+  traj::Trajectory t;
+  for (int i = 0; i < 36; ++i) {
+    const int col = (i / 6) % 2 == 0 ? i % 6 : 5 - i % 6;
+    t.points.push_back({{100.0 + 250.0 * col, 10.0}, 20.0 * i, col});
+  }
+  const auto run = [&](int threads, bool poll_between_pushes) {
+    matchers::StreamEngineConfig cfg;
+    cfg.num_threads = threads;
+    cfg.lag = 2;
+    cfg.shared_router = h.cached.get();
+    matchers::StreamEngine engine(factory, cfg);
+    const int kSessions = 3;
+    std::vector<matchers::SessionId> ids;
+    for (int i = 0; i < kSessions; ++i) ids.push_back(engine.Open());
+    std::vector<std::vector<network::SegmentId>> seen(kSessions);
+    const auto poll = [&](int i) {
+      const std::vector<network::SegmentId> now = engine.Committed(ids[i]);
+      // The committed path only grows: every earlier poll is a prefix.
+      ASSERT_GE(now.size(), seen[i].size());
+      EXPECT_TRUE(std::equal(seen[i].begin(), seen[i].end(), now.begin()));
+      seen[i] = now;
+    };
+    for (int p = 0; p < t.size(); ++p) {
+      for (int i = 0; i < kSessions; ++i) {
+        EXPECT_TRUE(engine.Push(ids[i], t[p]).ok());
+        if (poll_between_pushes) poll(i);
+      }
+    }
+    // The producer outruns the pumps, so keep reading while they drain.
+    for (int i = 0; poll_between_pushes && i < kSessions; ++i) {
+      while (engine.processed_events(ids[i]) < t.size()) {
+        std::this_thread::yield();
+        poll(i);
+      }
+    }
+    for (const matchers::SessionId id : ids) EXPECT_TRUE(engine.Finish(id).ok());
+    engine.Barrier();
+    for (int i = 0; i < kSessions; ++i) poll(i);
+    return seen;
+  };
+  const std::vector<std::vector<network::SegmentId>> polled = run(2, true);
+  const std::vector<std::vector<network::SegmentId>> oracle = run(1, false);
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_FALSE(oracle[i].empty());
+    EXPECT_EQ(polled[i], oracle[i]) << "session " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-family sessions on a simulated city: convergence to offline Viterbi.
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 # The committed baselines come from the *full* suites, so the tolerance here
 # is generous (smoke uses fewer workload items and fewer timing reps, and CI
 # machines differ); the check exists to catch order-of-magnitude breakage —
-# a CH speedup collapsing to 1x, a kernel going quadratic — not 10% noise.
+# a Dijkstra column going quadratic, a store load rebuilding instead of
+# mapping — not 10% noise.
 # Under sanitizer builds bench_diff skips timing comparison entirely.
 #
 # Env (set by ctest): BENCH_MICRO, BENCH_DIFF, REPO_ROOT. Tolerance can be

@@ -22,14 +22,11 @@
 #include "core/strings.h"
 #include "eval/evaluator.h"
 #include "eval/report.h"
-#include "io/ch_io.h"
 #include "io/dataset_io.h"
 #include "io/network_io.h"
 #include "io/trajectory_io.h"
 #include "lhmm/lhmm_matcher.h"
 #include "lhmm/trainer.h"
-#include "network/ch_router.h"
-#include "network/contraction.h"
 #include "network/grid_index.h"
 #include "network/path_cache.h"
 #include "sim/dataset.h"
@@ -151,50 +148,9 @@ int CmdMatch(const std::map<std::string, std::string>& args) {
 
   L::LhmmMatcher matcher(&bundle->net, &index, model);
 
-  // Routing backend. --router=ch swaps the shared router's cache-miss path
-  // for corridor-pruned contraction-hierarchy queries — byte-identical
-  // matches, faster cold routing. The hierarchy is built here unless
-  // --ch-load points at one saved earlier (and --ch-save persists it).
-  network::RouterBackend backend = network::RouterBackend::kDijkstra;
-  const std::string router_arg = Get(args, "router", "dijkstra");
-  if (!network::ParseRouterBackend(router_arg, &backend)) {
-    fprintf(stderr, "unknown --router backend '%s' (dijkstra|ch)\n",
-            router_arg.c_str());
-    return 1;
-  }
-  network::CHGraph ch;
-  if (backend == network::RouterBackend::kCH) {
-    const std::string ch_load = Get(args, "ch-load");
-    if (!ch_load.empty()) {
-      auto loaded = io::LoadCHGraph(ch_load, &bundle->net);
-      if (!loaded.ok()) return Fail(loaded.status());
-      ch = std::move(*loaded);
-      printf("Loaded contraction hierarchy from %s (%lld shortcuts)\n",
-             ch_load.c_str(), static_cast<long long>(ch.num_shortcuts));
-    } else {
-      core::Stopwatch watch;
-      ch = network::CHGraph::Build(bundle->net);
-      printf("Built contraction hierarchy: %lld shortcuts in %.2fs\n",
-             static_cast<long long>(ch.num_shortcuts), watch.ElapsedSeconds());
-    }
-    const std::string ch_save = Get(args, "ch-save");
-    if (!ch_save.empty()) {
-      const core::Status saved = io::SaveCHGraph(ch, ch_save);
-      if (!saved.ok()) return Fail(saved);
-      printf("Contraction hierarchy written to %s\n", ch_save.c_str());
-    }
-  }
-
   // Opt-in cache pre-heating: one shared router, every (segment, neighbor)
   // pair precomputed, so matching pays no first-query routing latency.
-  // Composes with --router=ch (the warm-up itself routes via the CH).
-  network::CachedRouter shared_router =
-      backend == network::RouterBackend::kCH
-          ? network::CachedRouter(&bundle->net, &ch)
-          : network::CachedRouter(&bundle->net);
-  if (backend == network::RouterBackend::kCH) {
-    matcher.UseSharedRouter(&shared_router);
-  }
+  network::CachedRouter shared_router(&bundle->net);
   if (Get(args, "warm-cache", "0") == "1") {
     double radius = 1500.0;
     double r = 0.0;
@@ -328,7 +284,6 @@ void Usage() {
           "  match    --data PREFIX --model FILE --out FILE [--render FILE.svg]\n"
           "           [--encoder-dim D] [--warm-cache 1 [--warm-radius M]]"
           " [--sanitize reject|drop|repair]\n"
-          "           [--router dijkstra|ch [--ch-load FILE] [--ch-save FILE]]\n"
           "  eval     --data PREFIX --paths FILE\n");
 }
 

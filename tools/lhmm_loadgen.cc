@@ -127,7 +127,6 @@
 #include "io/journal.h"
 #include "matchers/classic_matchers.h"
 #include "matchers/ivmm.h"
-#include "network/contraction.h"
 #include "network/faulty_router.h"
 #include "network/generators.h"
 #include "network/grid_index.h"
@@ -1273,26 +1272,24 @@ int RunFleetGauntlet(const std::map<std::string, std::string>& args) {
 // ---------------------------------------------------------------------------
 
 /// Builds one store generation under `root` the way `lhmm_store build` does —
-/// grid network, grid index, contraction hierarchy, META — and returns its
-/// path ("" on failure). The default 10x10/200m grid is the exact world
-/// lhmm_serve builds in owned mode, so PushLine's workload has candidates and
-/// the owned-mode oracle is comparable byte for byte.
+/// grid network, grid index, META — and returns its path ("" on failure).
+/// The default 10x10/200m grid is the exact world lhmm_serve builds in owned
+/// mode, so PushLine's workload has candidates and the owned-mode oracle is
+/// comparable byte for byte.
 std::string BuildStoreGen(const std::string& root, int64_t gen, int rows,
                           int cols, double spacing) {
   network::RoadNetwork net = network::GenerateGridNetwork(rows, cols, spacing);
   network::GridIndex index(&net, 300.0);
-  network::CHGraph ch = network::CHGraph::Build(net);
   store::StoreWriter w;
   w.AddSection(store::kSectionNetwork, store::EncodeNetwork(net));
   w.AddSection(store::kSectionGrid, store::EncodeGridIndex(index));
-  w.AddSection(store::kSectionCH, store::EncodeCHGraph(ch));
   w.AddSection(store::kSectionMeta,
                store::EncodeMeta({{"source", "swap-gauntlet"}}));
   mkdir(root.c_str(), 0755);
   mkdir(store::GenerationDir(root, gen).c_str(), 0755);
   const std::string path = store::StorePath(root, gen);
   const core::Status st =
-      w.Write(path, network::CHGraph::NetworkFingerprint(net),
+      w.Write(path, network::NetworkFingerprint(net),
               static_cast<uint64_t>(gen));
   if (!st.ok()) {
     fprintf(stderr, "swap-gauntlet: build gen %" PRId64 ": %s\n", gen,

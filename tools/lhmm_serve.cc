@@ -80,14 +80,11 @@
 
 #include "core/strings.h"
 #include "hmm/classic_models.h"
-#include "io/ch_io.h"
 #include "io/dataset_io.h"
 #include "lhmm/lhmm_matcher.h"
 #include "lhmm/trainer.h"
 #include "matchers/classic_matchers.h"
 #include "matchers/ivmm.h"
-#include "network/ch_router.h"
-#include "network/contraction.h"
 #include "network/faulty_router.h"
 #include "network/generators.h"
 #include "network/grid_index.h"
@@ -166,7 +163,7 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   const auto args = ParseArgs(argc, argv);
 
-  // Published before the (possibly slow) recovery/CH build so a supervisor
+  // Published before the (possibly slow) recovery so a supervisor
   // can address the worker without racing startup.
   const std::string pid_file = Get(args, "pid-file");
   if (!pid_file.empty() &&
@@ -177,12 +174,11 @@ int main(int argc, char** argv) {
 
   // --- The world: a network, an index, and a (possibly faulty) router. ---
   // --store ROOT maps the published generation of a versioned asset store
-  // (built by lhmm_store) as the shared data plane: the network, grid index,
-  // and contraction hierarchy come out of one PROT_READ mmap whose pages N
-  // workers share through the page cache, and the manager backs the
-  // swap/rollback verbs plus the store_* status fields. Without it the world
-  // is owned: generated grid (--grid-rows/--grid-cols/--spacing) or a
-  // dataset bundle (--data).
+  // (built by lhmm_store) as the shared data plane: the network and grid
+  // index come out of one PROT_READ mmap whose pages N workers share
+  // through the page cache, and the manager backs the swap/rollback verbs
+  // plus the store_* status fields. Without it the world is owned: generated
+  // grid (--grid-rows/--grid-cols/--spacing) or a dataset bundle (--data).
   network::RoadNetwork net;
   std::vector<geo::Point> towers;
   io::DatasetBundle bundle;
@@ -242,64 +238,7 @@ int main(int argc, char** argv) {
   faults.route_failure_rate = GetDouble(args, "route-failure-rate", 0.0);
   faults.latency_rate = GetDouble(args, "latency-rate", 0.0);
   faults.seed = static_cast<uint64_t>(GetInt(args, "seed", 1));
-  // Routing backend: --router=ch serves cache misses through a contraction
-  // hierarchy (byte-identical results, faster cold queries). --ch-file
-  // loads a saved hierarchy when present, else builds one and saves it
-  // there, so restarts skip the preprocessing. Fault injection composes
-  // with either backend (faults are decided before the route lookup).
-  network::RouterBackend backend = network::RouterBackend::kDijkstra;
-  const std::string router_arg = Get(args, "router", "dijkstra");
-  if (!network::ParseRouterBackend(router_arg, &backend)) {
-    fprintf(stderr, "error: unknown --router backend '%s' (dijkstra|ch)\n",
-            router_arg.c_str());
-    return 1;
-  }
-  network::CHGraph ch;
-  std::unique_ptr<network::FaultyRouter> faulty_owned;
-  if (backend == network::RouterBackend::kCH) {
-    const std::string ch_file = Get(args, "ch-file");
-    bool loaded_from_file = false;
-    if (store_mgr != nullptr &&
-        store_gen0->store->HasSection(store::kSectionCH)) {
-      auto loaded = store_gen0->store->LoadCHGraph();
-      if (!loaded.ok()) {
-        fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-        return 1;
-      }
-      ch = std::move(*loaded);
-      loaded_from_file = true;
-      fprintf(stderr, "loaded contraction hierarchy from store gen %" PRId64
-              "\n", store_gen0->generation);
-    } else if (!ch_file.empty()) {
-      auto loaded = io::LoadCHGraph(ch_file, &net);
-      if (loaded.ok()) {
-        ch = std::move(*loaded);
-        loaded_from_file = true;
-        fprintf(stderr, "loaded contraction hierarchy from %s\n",
-                ch_file.c_str());
-      } else if (loaded.status().code() != core::StatusCode::kNotFound) {
-        fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-        return 1;
-      }
-    }
-    if (!loaded_from_file) {
-      ch = network::CHGraph::Build(net);
-      if (!ch_file.empty()) {
-        const core::Status saved = io::SaveCHGraph(ch, ch_file);
-        if (!saved.ok()) {
-          fprintf(stderr, "error: %s\n", saved.ToString().c_str());
-          return 1;
-        }
-        fprintf(stderr, "contraction hierarchy written to %s\n",
-                ch_file.c_str());
-      }
-    }
-    faulty_owned =
-        std::make_unique<network::FaultyRouter>(&net, &ch, faults);
-  } else {
-    faulty_owned = std::make_unique<network::FaultyRouter>(&net, faults);
-  }
-  network::FaultyRouter& faulty = *faulty_owned;
+  network::FaultyRouter faulty(&net, faults);
 
   // --- The degrade ladder. ---
   std::vector<srv::TierSpec> tiers;

@@ -11,13 +11,13 @@
 //   lhmm_store info     --root DIR --gen N          (or --file PATH)
 //
 // `build` serializes the heavy immutable assets — road network, grid index,
-// contraction hierarchy, and (with --data/--model) the trained LHMM weights —
-// into one relocatable store-<gen>.lds under <root>/gen-<N>/, written with
-// the atomic temp+rename protocol so a crashed build never leaves a file a
-// swap could find. Nothing observes the new generation until `publish` (or
-// --publish 1) atomically points <root>/CURRENT at it; a serving fleet picks
-// it up via the `swap <gen>` verb, which re-validates every byte before
-// flipping and keeps the old generation serving on any reject.
+// and (with --data/--model) the trained LHMM weights — into one relocatable
+// store-<gen>.lds under <root>/gen-<N>/, written with the atomic temp+rename
+// protocol so a crashed build never leaves a file a swap could find. Nothing
+// observes the new generation until `publish` (or --publish 1) atomically
+// points <root>/CURRENT at it; a serving fleet picks it up via the
+// `swap <gen>` verb, which re-validates every byte before flipping and keeps
+// the old generation serving on any reject.
 //
 // `validate` runs exactly the consumer-side check (MappedStore::Open): magic,
 // header CRC, format version, total-size torn-tail guard, TOC CRC, and every
@@ -37,7 +37,6 @@
 #include "core/strings.h"
 #include "io/dataset_io.h"
 #include "lhmm/trainer.h"
-#include "network/contraction.h"
 #include "network/generators.h"
 #include "network/grid_index.h"
 #include "store/generations.h"
@@ -125,12 +124,10 @@ int Build(const std::map<std::string, std::string>& args) {
                       core::StrFormat("grid:%dx%d@%g", rows, cols, spacing));
   }
   network::GridIndex index(&net, 300.0);
-  network::CHGraph ch = network::CHGraph::Build(net);
 
   store::StoreWriter w;
   w.AddSection(store::kSectionNetwork, store::EncodeNetwork(net));
   w.AddSection(store::kSectionGrid, store::EncodeGridIndex(index));
-  w.AddSection(store::kSectionCH, store::EncodeCHGraph(ch));
 
   const std::string model_path = Get(args, "model");
   if (!data.empty() && !model_path.empty()) {
@@ -157,13 +154,12 @@ int Build(const std::map<std::string, std::string>& args) {
   }
   meta.emplace_back("nodes", std::to_string(net.num_nodes()));
   meta.emplace_back("segments", std::to_string(net.num_segments()));
-  meta.emplace_back("shortcuts", std::to_string(ch.num_shortcuts));
   w.AddSection(store::kSectionMeta, store::EncodeMeta(meta));
 
   mkdir(root.c_str(), 0755);
   mkdir(store::GenerationDir(root, gen).c_str(), 0755);
   const std::string path = store::StorePath(root, gen);
-  const uint64_t fingerprint = network::CHGraph::NetworkFingerprint(net);
+  const uint64_t fingerprint = network::NetworkFingerprint(net);
   const core::Status written =
       w.Write(path, fingerprint, static_cast<uint64_t>(gen));
   if (!written.ok()) {
@@ -261,7 +257,7 @@ int Info(const std::map<std::string, std::string>& args) {
          path.c_str(), s.generation(), s.bytes(), s.fingerprint());
   for (const uint32_t tag :
        {store::kSectionMeta, store::kSectionNetwork, store::kSectionGrid,
-        store::kSectionCH, store::kSectionLhmm, store::kSectionSeq2Seq}) {
+        store::kSectionLhmm, store::kSectionSeq2Seq}) {
     auto view = s.Section(tag);
     if (!view.ok()) continue;
     printf("  section %s: offset=%" PRIu64 " bytes=%" PRIu64 "\n",

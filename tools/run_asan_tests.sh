@@ -14,14 +14,13 @@ BUILD_DIR=build-asan
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 cmake -B "${BUILD_DIR}" -S . -DLHMM_SANITIZE=address
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robustness_test serve_test frame_test net_server_test supervisor_test durability_test env_fault_test io_test network_test hmm_test ch_test store_test lhmm_serve lhmm_loadgen
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robustness_test serve_test frame_test net_server_test supervisor_test durability_test env_fault_test io_test network_test hmm_test store_test lhmm_serve lhmm_loadgen
 
 # ASan aborts with a non-zero exit on the first bad access, so a plain run is
 # the assertion. The suite leans on the paths where lifetimes are trickiest:
 # the StreamEngine's deferred session teardown (quarantine/eviction racing a
 # blocked pump), MatchServer drain/restore (checkpointed sessions re-created
-# from disk), io_test's parsers over corrupt input, ch_test's CH build/persistence
-# (including deliberately corrupted hierarchy files), and the loadgen fleet
+# from disk), io_test's parsers over corrupt input, and the loadgen fleet
 # exercising the whole serving stack concurrently — over stdin pipes and
 # over the TCP frame transport (frame_test, net_server_test, the socket
 # crash gauntlet, and a 64-connection net smoke). supervisor_test and the
@@ -48,7 +47,6 @@ ctest --output-on-failure -R "ThreadPool|ParallelFor|CachedRouter|BatchDetermini
 ./tests/io_test
 ./tests/network_test
 ./tests/hmm_test
-./tests/ch_test
 ./tools/lhmm_loadgen --smoke 1
 ./tools/lhmm_loadgen --crash-at 5,23,57 --crash-fault cycle \
   --serve-bin ./tools/lhmm_serve --threads 8

@@ -13,14 +13,15 @@ BUILD_DIR=build-tsan
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 cmake -B "${BUILD_DIR}" -S . -DLHMM_SANITIZE=thread
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robustness_test serve_test frame_test net_server_test supervisor_test durability_test env_fault_test network_test hmm_test ch_test store_test lhmm_serve lhmm_loadgen
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robustness_test serve_test frame_test net_server_test supervisor_test durability_test env_fault_test network_test hmm_test store_test lhmm_serve lhmm_loadgen
 
 # TSan halts with a non-zero exit on the first data race, so a plain run is
 # the assertion. batch_test covers the thread pool, the sharded route cache
 # under 8-thread load, and 1-vs-4-thread batch determinism; stream_test covers
 # the StreamEngine's per-session inbox pump under 8-thread shuffled arrival,
-# and StreamEngineStatsTest polls Stats()/TotalStats() while the pumps run the
-# same sessions' pushes (both selected by the StreamEngine pattern below);
+# and StreamEngineStatsTest polls Stats()/TotalStats() and Committed() while
+# the pumps run the same sessions' pushes (both selected by the StreamEngine
+# pattern below);
 # robustness_test covers the hardened serving paths — backpressure against a
 # blocked pump, cap/TTL eviction racing workers, poison quarantine, the
 # 1000-session eviction-churn soak, and fault-injected batch matching;
@@ -31,9 +32,8 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robust
 # engine at 1 and 8 threads (recovery's PushBlocking waits out worker-side
 # backpressure); the crash gauntlet kill -9s a TSan-instrumented lhmm_serve
 # mid-stream and recovers it; network_test and hmm_test cover the serial
-# users of the same code paths; ch_test exercises the contraction-hierarchy
-# router (shared across threads behind CachedRouter) and BatchDeterminism's
-# ChBackend tests run it cold under 8-way parallel matching; frame_test
+# users of the same code paths; BatchDeterminism's WarmCache tests match
+# 8-way parallel against one pre-warmed shared route cache; frame_test
 # and net_server_test cover the TCP transport — the poll loop serving
 # real loopback sockets from concurrent client threads — and the socket
 # crash gauntlet plus a 64-connection net smoke drive lhmm_serve's
@@ -57,7 +57,6 @@ ctest --output-on-failure -R "ThreadPool|ParallelFor|CachedRouter|BatchDetermini
 ./tests/env_fault_test
 ./tests/network_test
 ./tests/hmm_test
-./tests/ch_test
 ./tools/lhmm_loadgen --smoke 1
 ./tools/lhmm_loadgen --crash-at 5,23,57 --crash-fault cycle \
   --serve-bin ./tools/lhmm_serve --threads 8

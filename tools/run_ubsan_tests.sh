@@ -14,16 +14,14 @@ BUILD_DIR=build-ubsan
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 cmake -B "${BUILD_DIR}" -S . -DLHMM_SANITIZE=undefined
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target core_test hmm_test io_test durability_test env_fault_test serve_test frame_test net_server_test supervisor_test ch_test store_test lhmm_serve lhmm_loadgen
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target core_test hmm_test io_test durability_test env_fault_test serve_test frame_test net_server_test supervisor_test store_test lhmm_serve lhmm_loadgen
 
 # -fno-sanitize-recover=all makes the first UB finding abort, so a plain run
 # is the assertion. The suite leans on the paths where UB is likeliest: the
 # journal's CRC/length framing and byte-level fault injection (durability_test
 # deliberately bit-flips and truncates records before re-parsing them), the
 # snapshot/CSV parsers over corrupt input (io_test), HMM log-space arithmetic
-# (hmm_test), the contraction hierarchy's CSR assembly, corridor
-# arithmetic, and fault-injected on-disk format (ch_test), and the serving
-# front end end-to-end — including the kill -9
+# (hmm_test), and the serving front end end-to-end — including the kill -9
 # crash gauntlet against a UBSan-instrumented lhmm_serve, over stdin and
 # over the TCP frame transport (frame_test's byte-level codec fuzzing is
 # exactly where length-arithmetic UB would hide). supervisor_test pins the
@@ -47,7 +45,6 @@ cd "${BUILD_DIR}"
 ./tests/serve_test
 ./tests/frame_test
 ./tests/net_server_test
-./tests/ch_test
 ./tools/lhmm_loadgen --crash-at 5,23,57 --crash-fault cycle \
   --serve-bin ./tools/lhmm_serve --threads 4
 ./tools/lhmm_loadgen --crash-at 5,23,57 --crash-fault cycle \
