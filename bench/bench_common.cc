@@ -52,20 +52,13 @@ std::shared_ptr<lhmm::LhmmModel> GetLhmmModel(const Env& env,
   inputs.train = &env.ds.train;
 
   if (std::filesystem::exists(path)) {
-    // Rebuild the (deterministic) graph + architecture, then load weights.
-    lhmm::LhmmConfig probe = config;
-    probe.obs_steps = 0;
-    probe.trans_steps = 0;
-    probe.fusion_steps = 0;
-    std::shared_ptr<lhmm::LhmmModel> model = lhmm::TrainLhmm(inputs, probe);
-    model->config = config;
-    const core::Status status = model->Load(path);
-    if (status.ok()) {
+    auto cached = lhmm::LoadLhmm(inputs, path, config, config);
+    if (cached.ok()) {
       fprintf(stderr, "[bench] loaded cached model %s\n", path.c_str());
-      return model;
+      return *cached;
     }
     fprintf(stderr, "[bench] cache load failed (%s); retraining\n",
-            status.ToString().c_str());
+            cached.status().ToString().c_str());
   }
 
   core::Stopwatch watch;

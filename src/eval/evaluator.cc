@@ -14,6 +14,34 @@ traj::Trajectory Preprocess(const traj::Trajectory& raw,
   return traj::DeduplicateTowers(t);
 }
 
+namespace {
+
+/// Matches split[i] (preprocessed), timing the match alone, and scores it.
+TrajectoryEval EvaluateOne(matchers::MapMatcher* matcher, bool has_candidates,
+                           const network::RoadNetwork& net,
+                           const std::vector<traj::MatchedTrajectory>& split,
+                           size_t i, const traj::FilterConfig& filter_config,
+                           double corridor_radius) {
+  const traj::MatchedTrajectory& mt = split[i];
+  const traj::Trajectory cleaned = Preprocess(mt.cellular, filter_config);
+  core::Stopwatch watch;
+  const matchers::MatchResult result = matcher->Match(cleaned);
+  TrajectoryEval rec;
+  rec.index = static_cast<int>(i);
+  rec.time_s = watch.ElapsedSeconds();
+  rec.metrics = ComputePathMetrics(net, result.path, mt.truth_path, corridor_radius);
+  rec.num_breaks = result.num_breaks;
+  rec.gap_seconds = result.gap_seconds;
+  rec.gap_coverage = result.gap_coverage;
+  if (has_candidates) {
+    rec.hitting_ratio = HittingRatio(result.candidates, result.point_index,
+                                     cleaned.size(), mt.truth_path);
+  }
+  return rec;
+}
+
+}  // namespace
+
 std::vector<TrajectoryEval> EvaluatePerTrajectory(
     matchers::MapMatcher* matcher, const network::RoadNetwork& net,
     const std::vector<traj::MatchedTrajectory>& split,
@@ -21,23 +49,8 @@ std::vector<TrajectoryEval> EvaluatePerTrajectory(
   std::vector<TrajectoryEval> out;
   out.reserve(split.size());
   for (size_t i = 0; i < split.size(); ++i) {
-    const traj::MatchedTrajectory& mt = split[i];
-    const traj::Trajectory cleaned = Preprocess(mt.cellular, filter_config);
-    core::Stopwatch watch;
-    const matchers::MatchResult result = matcher->Match(cleaned);
-    TrajectoryEval rec;
-    rec.index = static_cast<int>(i);
-    rec.time_s = watch.ElapsedSeconds();
-    rec.metrics =
-        ComputePathMetrics(net, result.path, mt.truth_path, corridor_radius);
-    rec.num_breaks = result.num_breaks;
-    rec.gap_seconds = result.gap_seconds;
-    rec.gap_coverage = result.gap_coverage;
-    if (matcher->ProvidesCandidates()) {
-      rec.hitting_ratio = HittingRatio(result.candidates, result.point_index,
-                                       cleaned.size(), mt.truth_path);
-    }
-    out.push_back(rec);
+    out.push_back(EvaluateOne(matcher, matcher->ProvidesCandidates(), net, split,
+                              i, filter_config, corridor_radius));
   }
   return out;
 }
@@ -82,22 +95,8 @@ std::vector<TrajectoryEval> EvaluatePerTrajectoryParallel(
   batch->ForEach(
       static_cast<int64_t>(split.size()),
       [&](matchers::MapMatcher* matcher, int64_t i) {
-        const traj::MatchedTrajectory& mt = split[i];
-        const traj::Trajectory cleaned = Preprocess(mt.cellular, filter_config);
-        core::Stopwatch watch;
-        const matchers::MatchResult result = matcher->Match(cleaned);
-        TrajectoryEval& rec = out[i];
-        rec.index = static_cast<int>(i);
-        rec.time_s = watch.ElapsedSeconds();
-        rec.metrics =
-            ComputePathMetrics(net, result.path, mt.truth_path, corridor_radius);
-        rec.num_breaks = result.num_breaks;
-        rec.gap_seconds = result.gap_seconds;
-        rec.gap_coverage = result.gap_coverage;
-        if (has_candidates) {
-          rec.hitting_ratio = HittingRatio(result.candidates, result.point_index,
-                                           cleaned.size(), mt.truth_path);
-        }
+        out[i] = EvaluateOne(matcher, has_candidates, net, split, i,
+                             filter_config, corridor_radius);
       });
   return out;
 }

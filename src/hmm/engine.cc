@@ -118,40 +118,16 @@ Decoding Engine::Decode(const traj::Trajectory& t,
   // arenas rotate instead of keeping the whole per-step history: O(k^2)
   // resident weights instead of O(m * k^2), reused across columns.
   for (int s = 1; s < m; ++s) {
-    const int prev_n = static_cast<int>(cands[s - 1].size());
     const int cur_n = static_cast<int>(cands[s].size());
-    const double bound = RouteBound(d.straight[s]);
-
-    cur_segments_.resize(cur_n);
-    for (int k2 = 0; k2 < cur_n; ++k2) cur_segments_[k2] = cands[s][k2].segment;
-
     f[s].assign(cur_n, kNegInf);
     pre[s].assign(cur_n, -1);
     std::swap(w_prev_, w_cur_);
-    w_cur_.Reset(prev_n, cur_n);
 
-    // Phase 1: fill the weight arena (one RouteMany per predecessor over the
-    // shared target list). Model calls happen in (j, k2) order, so stateful
-    // models observe a fixed call sequence. Without shortcuts a row whose f
-    // is -inf is skipped before its route query: all its scores would be
-    // -inf, which the column kernel skips anyway. Algorithm 2 ranks
-    // predecessors over the full matrix, so with shortcuts every row is
-    // filled.
-    for (int j = 0; j < prev_n; ++j) {
-      if (!config_.use_shortcuts && f[s - 1][j] == kNegInf) continue;
-      const Candidate& prev = cands[s - 1][j];
-      const std::vector<std::optional<network::Route>> routes =
-          router_->RouteMany(prev.segment, cur_segments_, bound);
-      for (int k2 = 0; k2 < cur_n; ++k2) {
-        const Candidate& cur = cands[s][k2];
-        const network::Route* route =
-            routes[k2].has_value() ? &routes[k2].value() : nullptr;
-        const double pt = trans_->Transition(t, point_index[s - 1], point_index[s],
-                                             prev, cur, route, d.straight[s]);
-        const double weight = pt * cur.observation;  // Eq. (13).
-        w_cur_.Set(j, k2, weight, route != nullptr);
-      }
-    }
+    // Phase 1: fill the weight arena. Algorithm 2 ranks predecessors over the
+    // full matrix, so with shortcuts every row is filled; without them the
+    // rows that cannot win are skipped.
+    ColumnWeights(t, point_index, cands, s, d.straight[s],
+                  config_.use_shortcuts ? nullptr : f[s - 1].data(), &w_cur_);
     // Phase 2: the batched column update, Eq. (16)-(17) in one tight pass.
     ViterbiColumn(w_cur_, f[s - 1].data(), f[s].data(), pre[s].data());
 
@@ -293,6 +269,33 @@ void Engine::ShortcutPass(const traj::Trajectory& t, int s,
         (*pre)[s][k2] = u_idx;
         ++shortcuts_applied_;
       }
+    }
+  }
+}
+
+void Engine::ColumnWeights(const traj::Trajectory& t,
+                           const std::vector<int>& point_index,
+                           const std::vector<CandidateSet>& cands, int s,
+                           double straight, const double* f_prev,
+                           WeightMatrix* w) {
+  const int prev_n = static_cast<int>(cands[s - 1].size());
+  const int cur_n = static_cast<int>(cands[s].size());
+  const double bound = RouteBound(straight);
+  cur_segments_.resize(cur_n);
+  for (int k2 = 0; k2 < cur_n; ++k2) cur_segments_[k2] = cands[s][k2].segment;
+  w->Reset(prev_n, cur_n);
+  for (int j = 0; j < prev_n; ++j) {
+    if (f_prev != nullptr && f_prev[j] == kNegInf) continue;
+    const Candidate& prev = cands[s - 1][j];
+    const std::vector<std::optional<network::Route>> routes =
+        router_->RouteMany(prev.segment, cur_segments_, bound);
+    for (int k2 = 0; k2 < cur_n; ++k2) {
+      const Candidate& cur = cands[s][k2];
+      const network::Route* route =
+          routes[k2].has_value() ? &routes[k2].value() : nullptr;
+      const double pt = trans_->Transition(t, point_index[s - 1], point_index[s],
+                                           prev, cur, route, straight);
+      w->Set(j, k2, pt * cur.observation, route != nullptr);  // Eq. (13).
     }
   }
 }

@@ -91,6 +91,18 @@ class Engine {
   Decoding Decode(const traj::Trajectory& t, const std::vector<int>& point_index,
                   std::vector<CandidateSet>* cands, bool pinned_start);
 
+  /// The transition weights of column s (Eq. (13)): resets `w` to
+  /// |cands[s-1]| x |cands[s]| and fills W(c_{s-1}^j -> c_s^k) = P_T * P_O
+  /// with one RouteMany per predecessor row over the shared target list,
+  /// bounded by the route bound of the hop length `straight`. Model calls
+  /// happen in (j, k) order, so stateful models observe a fixed call
+  /// sequence. When `f_prev` is non-null, a row whose score f_prev[j] is -inf
+  /// is left unreachable without a route query: all its scores would be -inf,
+  /// which the column kernel skips anyway.
+  void ColumnWeights(const traj::Trajectory& t, const std::vector<int>& point_index,
+                     const std::vector<CandidateSet>& cands, int s,
+                     double straight, const double* f_prev, WeightMatrix* w);
+
   /// Path expansion of one hop: appends the segments of the route from `from`
   /// to `to` to `path`, skipping consecutive duplicates. When no route exists
   /// within the bound, appends `to`'s segment instead and returns true if

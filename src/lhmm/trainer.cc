@@ -502,4 +502,18 @@ std::unique_ptr<LhmmModel> TrainLhmm(const TrainInputs& in,
   return model;
 }
 
+core::Result<std::shared_ptr<LhmmModel>> LoadLhmm(const TrainInputs& inputs,
+                                                  const std::string& path,
+                                                  const LhmmConfig& architecture,
+                                                  const LhmmConfig& config) {
+  LhmmConfig shell = architecture;
+  shell.obs_steps = 0;
+  shell.trans_steps = 0;
+  shell.fusion_steps = 0;
+  std::shared_ptr<LhmmModel> model = TrainLhmm(inputs, shell);
+  model->config = config;
+  LHMM_RETURN_IF_ERROR(model->Load(path));
+  return model;
+}
+
 }  // namespace lhmm::lhmm

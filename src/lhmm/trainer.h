@@ -2,8 +2,10 @@
 #define LHMM_LHMM_TRAINER_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/status.h"
 #include "lhmm/model.h"
 #include "network/grid_index.h"
 #include "traj/filters.h"
@@ -35,6 +37,14 @@ struct TrainInputs {
 /// Returns the trained model with cached final embeddings.
 std::unique_ptr<LhmmModel> TrainLhmm(const TrainInputs& inputs,
                                      const LhmmConfig& config);
+
+/// Loads a model written by LhmmModel::Save: a zero-step TrainLhmm run with
+/// `architecture` rebuilds the (deterministic) graph and the parameter
+/// shapes, the weights then come from `path`, and the loaded model carries
+/// `config`.
+core::Result<std::shared_ptr<LhmmModel>> LoadLhmm(
+    const TrainInputs& inputs, const std::string& path,
+    const LhmmConfig& architecture = {}, const LhmmConfig& config = {});
 
 }  // namespace lhmm::lhmm
 

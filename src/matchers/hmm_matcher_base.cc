@@ -7,12 +7,8 @@ namespace lhmm::matchers {
 HmmMatcherBase::HmmMatcherBase(const network::RoadNetwork* net,
                                const network::GridIndex* index,
                                const hmm::EngineConfig& config)
-    : net_(net), index_(index), config_(config) {
-  CHECK(net != nullptr);
+    : net_(net), index_(index), config_(config), router_(net) {
   CHECK(index != nullptr);
-  router_ = std::make_unique<network::SegmentRouter>(net);
-  cached_router_ = std::make_unique<network::CachedRouter>(router_.get());
-  active_router_ = cached_router_.get();
 }
 
 void HmmMatcherBase::Init(std::unique_ptr<hmm::ObservationModel> obs,

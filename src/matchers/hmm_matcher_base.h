@@ -11,10 +11,10 @@
 
 namespace lhmm::matchers {
 
-/// Base for every HMM-family matcher (the classic baselines and LHMM): owns a
-/// router + cache and runs the shared hmm::Engine with the models supplied by
-/// the subclass. Subclasses construct their observation/transition models and
-/// call Init().
+/// Base for every HMM-family matcher (the classic baselines, IVMM and LHMM):
+/// owns a route cache and runs the shared hmm::Engine with the models
+/// supplied by the subclass. Subclasses construct their observation/transition
+/// models and call Init().
 class HmmMatcherBase : public MapMatcher {
  public:
   /// `net` and `index` must outlive the matcher.
@@ -25,7 +25,8 @@ class HmmMatcherBase : public MapMatcher {
   bool ProvidesCandidates() const override { return true; }
 
   /// Rebuilds the engine on top of `shared`, keeping its live config; the
-  /// private cache is kept allocated but no longer consulted.
+  /// private cache is no longer consulted (and, if never queried, never
+  /// allocates Dijkstra scratch).
   void UseSharedRouter(network::CachedRouter* shared) override;
 
   /// Fixed-lag streaming with this matcher's models. Note: matchers with a
@@ -48,9 +49,8 @@ class HmmMatcherBase : public MapMatcher {
   const network::RoadNetwork* net_;
   const network::GridIndex* index_;
   hmm::EngineConfig config_;
-  std::unique_ptr<network::SegmentRouter> router_;
-  std::unique_ptr<network::CachedRouter> cached_router_;
-  network::CachedRouter* active_router_ = nullptr;  ///< cached_router_ or shared.
+  network::CachedRouter router_;  ///< Private; pools its own Dijkstra scratch.
+  network::CachedRouter* active_router_ = &router_;  ///< router_ or shared.
   std::unique_ptr<hmm::ObservationModel> obs_;
   std::unique_ptr<hmm::TransitionModel> trans_;
   std::unique_ptr<hmm::Engine> engine_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "core/logging.h"
+#include <memory>
+#include <vector>
 
 namespace lhmm::matchers {
 
@@ -15,75 +15,29 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 IvmmMatcher::IvmmMatcher(const network::RoadNetwork* net,
                          const network::GridIndex* index,
                          const hmm::ClassicModelConfig& models, int k)
-    : net_(net), index_(index), models_(models), k_(k) {
-  CHECK(net != nullptr);
-  router_ = std::make_unique<network::SegmentRouter>(net);
-  cached_router_ = std::make_unique<network::CachedRouter>(router_.get());
-  active_router_ = cached_router_.get();
-  obs_ = std::make_unique<hmm::GaussianObservationModel>(index, models);
-  trans_ = std::make_unique<hmm::ClassicTransitionModel>(models, net);
-}
-
-std::unique_ptr<StreamingSession> IvmmMatcher::OpenSession(
-    const StreamConfig& config) {
-  hmm::OnlineConfig oc;
-  oc.k = k_;
-  oc.lag = config.lag;
-  // Same bounds Match() hardcodes for its route searches.
-  oc.route_bound_alpha = 4.0;
-  oc.route_bound_beta = 1500.0;
-  oc.max_route_bound = 12000.0;
-  return std::make_unique<OnlineSession>(net_, active_router_, obs_.get(),
-                                         trans_.get(), oc);
-}
-
-void IvmmMatcher::UseSharedRouter(network::CachedRouter* shared) {
-  CHECK(shared != nullptr);
-  active_router_ = shared;
+    : HmmMatcherBase(net, index, hmm::EngineConfig{.k = k}) {
+  Init(std::make_unique<hmm::GaussianObservationModel>(index, models),
+       std::make_unique<hmm::ClassicTransitionModel>(models, net));
 }
 
 MatchResult IvmmMatcher::Match(const traj::Trajectory& t) {
   MatchResult result;
   if (t.empty()) return result;
 
-  // Candidate preparation (same as the HMM engine).
   std::vector<hmm::CandidateSet> cands;
   std::vector<int> point_index;
-  for (int i = 0; i < t.size(); ++i) {
-    hmm::CandidateSet cs = obs_->Candidates(t, i, k_);
-    if (cs.empty()) continue;
-    cands.push_back(std::move(cs));
-    point_index.push_back(i);
-  }
+  engine_->PrepareCandidates(t, 0, &cands, &point_index);
   const int m = static_cast<int>(cands.size());
   if (m == 0) return result;
 
-  // Static score matrices: W[s][j][k2] = P_T * P_O per Eq. (3)/(2). The
-  // classic ST transition (Eq. 3 with the velocity heuristic) is the same
-  // model the streaming session runs.
-  trans_->BeginTrajectory(t);
+  // Static score matrices, one per column: W = P_T * P_O per Eq. (3)/(2),
+  // every row filled (a pin may make any predecessor the only live one).
   std::vector<double> straight(m, 0.0);
-  std::vector<std::vector<std::vector<double>>> w(m);
+  std::vector<hmm::WeightMatrix> w(m);
   for (int s = 1; s < m; ++s) {
     straight[s] = geo::Distance(t[point_index[s - 1]].pos, t[point_index[s]].pos);
-    const double bound = std::min(12000.0, 4.0 * straight[s] + 1500.0);
-    const int prev_n = static_cast<int>(cands[s - 1].size());
-    const int cur_n = static_cast<int>(cands[s].size());
-    w[s].assign(prev_n, std::vector<double>(cur_n, kNegInf));
-    std::vector<network::SegmentId> targets(cur_n);
-    for (int k2 = 0; k2 < cur_n; ++k2) targets[k2] = cands[s][k2].segment;
-    for (int j = 0; j < prev_n; ++j) {
-      const auto routes = active_router_->RouteMany(cands[s - 1][j].segment,
-                                                    targets, bound);
-      for (int k2 = 0; k2 < cur_n; ++k2) {
-        if (!routes[k2].has_value()) continue;
-        const double pt = trans_->Transition(t, point_index[s - 1],
-                                             point_index[s], cands[s - 1][j],
-                                             cands[s][k2], &routes[k2].value(),
-                                             straight[s]);
-        w[s][j][k2] = pt * cands[s][k2].observation;
-      }
-    }
+    engine_->ColumnWeights(t, point_index, cands, s, straight[s],
+                           /*f_prev=*/nullptr, &w[s]);
   }
 
   // HMM breaks (same notion as hmm::Engine): a step whose whole transition
@@ -95,14 +49,8 @@ MatchResult IvmmMatcher::Match(const traj::Trajectory& t) {
   std::vector<char> break_col(m, 0);
   for (int s = 1; s < m; ++s) {
     bool any = false;
-    for (const auto& row : w[s]) {
-      for (const double v : row) {
-        if (v != kNegInf) {
-          any = true;
-          break;
-        }
-      }
-      if (any) break;
+    for (size_t i = 0; i < w[s].w.size() && !any; ++i) {
+      any = w[s].reach[i] && w[s].w[i] != kNegInf;
     }
     if (!any) {
       break_col[s] = 1;
@@ -119,38 +67,34 @@ MatchResult IvmmMatcher::Match(const traj::Trajectory& t) {
   // with point a pinned to ja; every point's matched candidate on that path
   // gets a vote weighted by proximity to the anchor.
   std::vector<std::vector<double>> votes(m);
-  for (int s = 0; s < m; ++s) votes[s].assign(cands[s].size(), 0.0);
-
   std::vector<std::vector<double>> f(m);
   std::vector<std::vector<int>> pre(m);
+  for (int s = 0; s < m; ++s) {
+    votes[s].assign(cands[s].size(), 0.0);
+    f[s].resize(cands[s].size());
+    pre[s].resize(cands[s].size());
+  }
   for (int a = 0; a < m; ++a) {
     for (size_t ja = 0; ja < cands[a].size(); ++ja) {
-      // Forward DP with the pin.
+      // Forward DP with the pin: the engine's column kernel (first strict
+      // maximizer over reachable pairs), a restart at break columns, and the
+      // pin applied by masking every other candidate of point a.
       for (int s = 0; s < m; ++s) {
         const int n = static_cast<int>(cands[s].size());
-        f[s].assign(n, kNegInf);
-        pre[s].assign(n, -1);
-        if (s == 0) {
-          for (int j = 0; j < n; ++j) {
-            if (a == 0 && j != static_cast<int>(ja)) continue;
-            f[s][j] = cands[s][j].observation;
-          }
-          continue;
-        }
-        for (int k2 = 0; k2 < n; ++k2) {
-          if (s == a && k2 != static_cast<int>(ja)) continue;
-          if (break_col[s]) {
-            // Restart across the gap, exactly like hmm::Engine.
+        if (s == 0 || break_col[s]) {
+          // Restart across a gap exactly like hmm::Engine (and as at s = 0).
+          for (int k2 = 0; k2 < n; ++k2) {
             f[s][k2] = cands[s][k2].observation;
-            continue;
+            pre[s][k2] = -1;
           }
-          for (size_t j = 0; j < cands[s - 1].size(); ++j) {
-            if (f[s - 1][j] == kNegInf || w[s][j][k2] == kNegInf) continue;
-            const double score = f[s - 1][j] + w[s][j][k2];
-            if (score > f[s][k2]) {
-              f[s][k2] = score;
-              pre[s][k2] = static_cast<int>(j);
-            }
+        } else {
+          hmm::ViterbiColumn(w[s], f[s - 1].data(), f[s].data(), pre[s].data());
+        }
+        if (s == a) {
+          for (int k2 = 0; k2 < n; ++k2) {
+            if (k2 == static_cast<int>(ja)) continue;
+            f[s][k2] = kNegInf;
+            pre[s][k2] = -1;
           }
         }
       }
@@ -206,22 +150,11 @@ MatchResult IvmmMatcher::Match(const traj::Trajectory& t) {
   }
   result.path.push_back(chain[0].segment);
   for (int s = 1; s < m; ++s) {
-    const double bound = std::min(12000.0, 4.0 * straight[s] + 1500.0);
-    const auto route =
-        active_router_->Route1(chain[s - 1].segment, chain[s].segment, bound);
-    if (route.has_value()) {
-      for (network::SegmentId sid : route->segments) {
-        if (result.path.back() != sid) result.path.push_back(sid);
-      }
-    } else if (result.path.back() != chain[s].segment) {
-      result.path.push_back(chain[s].segment);
-    }
+    engine_->AppendLeg(chain[s - 1], chain[s], straight[s], &result.path);
   }
   result.candidates = std::move(cands);
   result.point_index = std::move(point_index);
   return result;
 }
-
-IvmmMatcher::~IvmmMatcher() = default;
 
 }  // namespace lhmm::matchers

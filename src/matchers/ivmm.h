@@ -1,13 +1,10 @@
 #ifndef LHMM_MATCHERS_IVMM_H_
 #define LHMM_MATCHERS_IVMM_H_
 
-#include <memory>
 #include <string>
 
 #include "hmm/classic_models.h"
-#include "matchers/matcher.h"
-#include "network/grid_index.h"
-#include "network/path_cache.h"
+#include "matchers/hmm_matcher_base.h"
 
 namespace lhmm::matchers {
 
@@ -16,33 +13,19 @@ namespace lhmm::matchers {
 /// candidate j, a constrained DP is run that forces the path through (i, j);
 /// each point's matched candidate on that path receives a distance-weighted
 /// vote, and the candidate with most votes wins.
-class IvmmMatcher : public MapMatcher {
+///
+/// Candidates, column weights, the pinned DPs' column update and the path
+/// expansion are the shared hmm::Engine's (k candidates, no shortcuts,
+/// default route bounds). Streaming is inherited: voting needs the whole
+/// trajectory, so the online session runs fixed-lag Viterbi over the same ST
+/// scores (Gaussian P_O, classic P_T) — the DP that voting perturbs.
+class IvmmMatcher : public HmmMatcherBase {
  public:
   IvmmMatcher(const network::RoadNetwork* net, const network::GridIndex* index,
               const hmm::ClassicModelConfig& models, int k = 45);
-  ~IvmmMatcher() override;
 
   std::string name() const override { return "IVMM"; }
   MatchResult Match(const traj::Trajectory& cellular) override;
-  bool ProvidesCandidates() const override { return true; }
-  void UseSharedRouter(network::CachedRouter* shared) override;
-
-  /// Streaming form: IVMM's voting needs the whole trajectory, so its online
-  /// session runs fixed-lag Viterbi over the same ST scores (Gaussian P_O,
-  /// classic P_T) — the DP that voting perturbs.
-  bool SupportsStreaming() const override { return true; }
-  std::unique_ptr<StreamingSession> OpenSession(const StreamConfig& config) override;
-
- private:
-  const network::RoadNetwork* net_;
-  const network::GridIndex* index_;
-  hmm::ClassicModelConfig models_;
-  int k_;
-  std::unique_ptr<network::SegmentRouter> router_;
-  std::unique_ptr<network::CachedRouter> cached_router_;
-  network::CachedRouter* active_router_ = nullptr;
-  std::unique_ptr<hmm::GaussianObservationModel> obs_;
-  std::unique_ptr<hmm::ClassicTransitionModel> trans_;
 };
 
 }  // namespace lhmm::matchers

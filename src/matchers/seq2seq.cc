@@ -404,11 +404,8 @@ MatchResult Seq2SeqMatcher::Match(const traj::Trajectory& cellular) {
   // Connect consecutive predictions with shortest paths.
   network::CachedRouter* routing = shared_router_;
   if (routing == nullptr) {
-    if (router_ == nullptr) {
-      router_ = std::make_unique<network::SegmentRouter>(net_);
-      cached_router_ = std::make_unique<network::CachedRouter>(router_.get());
-    }
-    routing = cached_router_.get();
+    if (router_ == nullptr) router_ = std::make_unique<network::CachedRouter>(net_);
+    routing = router_.get();
   }
   result.path.push_back(roads[0]);
   for (size_t i = 1; i < roads.size(); ++i) {

@@ -112,8 +112,7 @@ class Seq2SeqMatcher : public MapMatcher {
   Seq2SeqConfig config_;
   std::string name_;
   std::shared_ptr<Impl> impl_;
-  std::unique_ptr<network::SegmentRouter> router_;
-  std::unique_ptr<network::CachedRouter> cached_router_;
+  std::unique_ptr<network::CachedRouter> router_;  ///< Built on first use.
   network::CachedRouter* shared_router_ = nullptr;
 };
 

@@ -167,20 +167,18 @@ core::Status StreamEngine::Push(SessionId id, const traj::TrajPoint& point) {
     return core::Status(core::StatusCode::kFailedPrecondition,
                         "push on closed session " + std::to_string(id));
   }
-  if (config_.validate_points) {
-    if (!std::isfinite(point.pos.x) || !std::isfinite(point.pos.y) ||
-        !std::isfinite(point.t)) {
-      rejected_pushes_.fetch_add(1, std::memory_order_relaxed);
-      return core::Status(core::StatusCode::kInvalidArgument,
-                          "non-finite point pushed to session " +
-                              std::to_string(id));
-    }
-    if (s->seen_point && point.t < s->last_time) {
-      rejected_pushes_.fetch_add(1, std::memory_order_relaxed);
-      return core::Status(core::StatusCode::kInvalidArgument,
-                          "timestamp moved backwards in session " +
-                              std::to_string(id));
-    }
+  // Obviously broken points are rejected at the producer boundary instead of
+  // being fed to the matcher.
+  if (!std::isfinite(point.pos.x) || !std::isfinite(point.pos.y) ||
+      !std::isfinite(point.t)) {
+    rejected_pushes_.fetch_add(1, std::memory_order_relaxed);
+    return core::Status(core::StatusCode::kInvalidArgument,
+                        "non-finite point pushed to session " + std::to_string(id));
+  }
+  if (s->seen_point && point.t < s->last_time) {
+    rejected_pushes_.fetch_add(1, std::memory_order_relaxed);
+    return core::Status(core::StatusCode::kInvalidArgument,
+                        "timestamp moved backwards in session " + std::to_string(id));
   }
   core::Status status = Enqueue(s, point);
   if (status.ok()) {

@@ -46,10 +46,6 @@ struct StreamEngineConfig {
   /// Cap on concurrently live sessions; when Open() would exceed it, the
   /// least-recently-active live session is evicted first. 0 = uncapped.
   int64_t max_live_sessions = 0;
-  /// Reject obviously broken points at the producer boundary (non-finite
-  /// coordinates/timestamps, timestamps moving backwards within a session)
-  /// with kInvalidArgument instead of feeding them to the matcher.
-  bool validate_points = true;
 };
 
 /// Handle of one live session; dense, assigned by Open() in call order.

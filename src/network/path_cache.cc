@@ -4,20 +4,15 @@
 
 namespace lhmm::network {
 
-CachedRouter::CachedRouter(SegmentRouter* router, int num_shards)
-    : net_(router->network()) {
-  CHECK(router != nullptr);
-  if (num_shards < 1) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
+CachedRouter::CachedRouter(SegmentRouter* router)
+    : CachedRouter(router->network()) {
   free_routers_.push_back(router);
 }
 
-CachedRouter::CachedRouter(const RoadNetwork* net, int num_shards) : net_(net) {
+CachedRouter::CachedRouter(const RoadNetwork* net) : net_(net) {
   CHECK(net != nullptr);
-  if (num_shards < 1) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
+  shards_.reserve(kShards);
+  for (int i = 0; i < kShards; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
 SegmentRouter* CachedRouter::AcquireRouter() {

@@ -31,10 +31,10 @@ class CachedRouter {
   /// Wraps an external router (must outlive this wrapper). The router becomes
   /// the pool's first member; additional routers are created on demand when
   /// queries overlap in time.
-  explicit CachedRouter(SegmentRouter* router, int num_shards = kDefaultShards);
+  explicit CachedRouter(SegmentRouter* router);
 
   /// Self-contained variant: all pooled routers are owned.
-  explicit CachedRouter(const RoadNetwork* net, int num_shards = kDefaultShards);
+  explicit CachedRouter(const RoadNetwork* net);
 
   virtual ~CachedRouter() = default;
 
@@ -64,9 +64,9 @@ class CachedRouter {
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t size() const;
   void Clear();
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  static constexpr int kDefaultShards = 16;
+  /// Number of striped table shards.
+  static constexpr int kShards = 16;
 
  private:
   struct Entry {
@@ -83,7 +83,7 @@ class CachedRouter {
            static_cast<uint32_t>(to);
   }
   Shard& ShardOf(uint64_t key) {
-    return *shards_[(key ^ (key >> 32)) % shards_.size()];
+    return *shards_[(key ^ (key >> 32)) % kShards];
   }
 
   /// Checks out a router for one Dijkstra; returned to the pool afterwards.

@@ -632,28 +632,11 @@ core::Status MatchServer::ReplayOpen(int64_t id, int tier) {
   return core::Status::Ok();
 }
 
-core::Status MatchServer::ReplayPush(int64_t id, const traj::TrajPoint& point) {
+core::Result<MatchServer::Sess*> MatchServer::ReplaySession(int64_t id,
+                                                          const char* event) {
   if (id < 0 || id >= static_cast<int64_t>(sessions_.size())) {
-    return core::Status::InvalidArgument("journaled push names session " +
-                                         std::to_string(id) +
-                                         ", outside the id space");
-  }
-  const Sess& s = sessions_[id];
-  if (s.missing || s.engine_id < 0) {
-    return core::Status::Unavailable("session " + std::to_string(id) +
-                                     " was not restored (not checkpointable)");
-  }
-  if (!s.open) {
-    return core::Status::FailedPrecondition("session " + std::to_string(id) +
-                                            " closed earlier in replay");
-  }
-  return engine_->PushBlocking(s.engine_id, point);
-}
-
-core::Status MatchServer::ReplayFinish(int64_t id) {
-  if (id < 0 || id >= static_cast<int64_t>(sessions_.size())) {
-    return core::Status::InvalidArgument("journaled finish names session " +
-                                         std::to_string(id) +
+    return core::Status::InvalidArgument(std::string("journaled ") + event +
+                                         " names session " + std::to_string(id) +
                                          ", outside the id space");
   }
   Sess& s = sessions_[id];
@@ -665,26 +648,26 @@ core::Status MatchServer::ReplayFinish(int64_t id) {
     return core::Status::FailedPrecondition("session " + std::to_string(id) +
                                             " closed earlier in replay");
   }
-  s.open = false;
-  return engine_->Finish(s.engine_id);
+  return &s;
+}
+
+core::Status MatchServer::ReplayPush(int64_t id, const traj::TrajPoint& point) {
+  core::Result<Sess*> s = ReplaySession(id, "push");
+  if (!s.ok()) return s.status();
+  return engine_->PushBlocking((*s)->engine_id, point);
+}
+
+core::Status MatchServer::ReplayFinish(int64_t id) {
+  core::Result<Sess*> s = ReplaySession(id, "finish");
+  if (!s.ok()) return s.status();
+  (*s)->open = false;
+  return engine_->Finish((*s)->engine_id);
 }
 
 core::Status MatchServer::ReplaySetDeadline(int64_t id, int64_t deadline_tick) {
-  if (id < 0 || id >= static_cast<int64_t>(sessions_.size())) {
-    return core::Status::InvalidArgument("journaled deadline names session " +
-                                         std::to_string(id) +
-                                         ", outside the id space");
-  }
-  const Sess& s = sessions_[id];
-  if (s.missing || s.engine_id < 0) {
-    return core::Status::Unavailable("session " + std::to_string(id) +
-                                     " was not restored (not checkpointable)");
-  }
-  if (!s.open) {
-    return core::Status::FailedPrecondition("session " + std::to_string(id) +
-                                            " closed earlier in replay");
-  }
-  return engine_->SetDeadline(s.engine_id, deadline_tick);
+  core::Result<Sess*> s = ReplaySession(id, "deadline");
+  if (!s.ok()) return s.status();
+  return engine_->SetDeadline((*s)->engine_id, deadline_tick);
 }
 
 void MatchServer::ReplayTick(int64_t now) {

@@ -303,6 +303,10 @@ class MatchServer {
     bool missing = false;  ///< Existed pre-drain but was not restored.
   };
 
+  /// The session a replayed push/finish/deadline (`event`) names: typed
+  /// kInvalidArgument outside the id space, kUnavailable when it was not
+  /// restored, kFailedPrecondition when it closed earlier in replay.
+  core::Result<Sess*> ReplaySession(int64_t id, const char* event);
   /// Total queued events across sessions with a live engine slot.
   int64_t QueueDepth() const;
   const Sess& sess(int64_t id) const;

@@ -445,6 +445,43 @@ TEST_F(DurabilityTest, RecoverOnAnEmptyDirStartsFresh) {
   EXPECT_TRUE((*server)->OpenSession().ok());
 }
 
+TEST_F(DurabilityTest, ReplayVerbsRejectBadSessionsWithTypedCodes) {
+  // Session 0 existed at snapshot time but was not restored; session 1 is
+  // replayed open and then closed.
+  srv::ServerSnapshot snap;
+  snap.total_sessions = 1;
+  auto restored = srv::MatchServer::FromSnapshot(snap, Tiers(), Config(1), "test");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  srv::MatchServer& server = **restored;
+  ASSERT_TRUE(server.ReplayOpen(1, /*tier=*/0).ok());
+  ASSERT_TRUE(server.ReplayFinish(1).ok());
+
+  using core::StatusCode;
+  const struct {
+    int64_t id;
+    StatusCode code;
+  } kCases[] = {{-1, StatusCode::kInvalidArgument},
+                {2, StatusCode::kInvalidArgument},
+                {0, StatusCode::kUnavailable},
+                {1, StatusCode::kFailedPrecondition}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE("session " + std::to_string(c.id));
+    EXPECT_EQ(server.ReplayPush(c.id, Pt(0, 0)).code(), c.code);
+    EXPECT_EQ(server.ReplayFinish(c.id).code(), c.code);
+    EXPECT_EQ(server.ReplaySetDeadline(c.id, 10).code(), c.code);
+  }
+  EXPECT_EQ(server.ReplayPush(2, Pt(0, 0)).message(),
+            "journaled push names session 2, outside the id space");
+  EXPECT_EQ(server.ReplayFinish(2).message(),
+            "journaled finish names session 2, outside the id space");
+  EXPECT_EQ(server.ReplaySetDeadline(2, 10).message(),
+            "journaled deadline names session 2, outside the id space");
+  EXPECT_EQ(server.ReplayFinish(0).message(),
+            "session 0 was not restored (not checkpointable)");
+  EXPECT_EQ(server.ReplayPush(1, Pt(0, 0)).message(),
+            "session 1 closed earlier in replay");
+}
+
 /// The in-process crash-sim: run part of the workload durably, "crash" (drop
 /// the server with no drain or shutdown checkpoint), optionally mangle the
 /// storage, Recover, resume each session from its durable pushed count, and

@@ -209,17 +209,15 @@ TEST_F(TrainedModelTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(m.Save(path).ok());
 
   // Rebuild the same architecture untrained, load, compare embeddings.
-  LhmmConfig cfg = m.config;
-  cfg.obs_steps = 0;
-  cfg.trans_steps = 0;
-  cfg.fusion_steps = 0;
   TrainInputs inputs;
   inputs.net = &ds_->network;
   inputs.index = index_;
   inputs.num_towers = static_cast<int>(ds_->towers.size());
   inputs.train = &ds_->train;
-  std::shared_ptr<LhmmModel> fresh = TrainLhmm(inputs, cfg);
-  ASSERT_TRUE(fresh->Load(path).ok());
+  auto loaded = LoadLhmm(inputs, path, m.config, m.config);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::shared_ptr<LhmmModel>& fresh = *loaded;
+  EXPECT_EQ(fresh->config.obs_steps, m.config.obs_steps);
   ASSERT_EQ(fresh->embeddings.rows(), m.embeddings.rows());
   for (int i = 0; i < m.embeddings.size(); ++i) {
     ASSERT_FLOAT_EQ(fresh->embeddings.data()[i], m.embeddings.data()[i]);

@@ -129,24 +129,20 @@ int CmdMatch(const std::map<std::string, std::string>& args) {
   auto bundle = LoadBundle(data);
   if (!bundle.ok()) return Fail(bundle.status());
   network::GridIndex index(&bundle->net, 300.0);
-  // Rebuild the architecture via a zero-step training run, then load weights.
   L::TrainInputs inputs;
   inputs.net = &bundle->net;
   inputs.index = &index;
   inputs.num_towers = static_cast<int>(bundle->towers.size());
   inputs.train = &bundle->train;
-  L::LhmmConfig cfg;
-  cfg.obs_steps = 0;
-  cfg.trans_steps = 0;
-  cfg.fusion_steps = 0;
+  // --encoder-dim shapes the architecture only; the loaded model carries the
+  // default config.
+  L::LhmmConfig architecture;
   int dim = 0;
-  if (core::ParseInt(Get(args, "encoder-dim", ""), &dim)) cfg.encoder.dim = dim;
-  std::shared_ptr<L::LhmmModel> model = L::TrainLhmm(inputs, cfg);
-  model->config = L::LhmmConfig{};
-  const core::Status load = model->Load(model_path);
-  if (!load.ok()) return Fail(load);
+  if (core::ParseInt(Get(args, "encoder-dim", ""), &dim)) architecture.encoder.dim = dim;
+  auto model = L::LoadLhmm(inputs, model_path, architecture);
+  if (!model.ok()) return Fail(model.status());
 
-  L::LhmmMatcher matcher(&bundle->net, &index, model);
+  L::LhmmMatcher matcher(&bundle->net, &index, *model);
 
   // Opt-in cache pre-heating: one shared router, every (segment, neighbor)
   // pair precomputed, so matching pays no first-query routing latency.

@@ -249,17 +249,12 @@ int main(int argc, char** argv) {
     inputs.index = &index;
     inputs.num_towers = static_cast<int>(bundle.towers.size());
     inputs.train = &bundle.train;
-    L::LhmmConfig cfg;
-    cfg.obs_steps = 0;
-    cfg.trans_steps = 0;
-    cfg.fusion_steps = 0;
-    model = L::TrainLhmm(inputs, cfg);
-    model->config = L::LhmmConfig{};
-    const core::Status load = model->Load(model_path);
-    if (!load.ok()) {
-      fprintf(stderr, "error: %s\n", load.ToString().c_str());
+    auto loaded = L::LoadLhmm(inputs, model_path);
+    if (!loaded.ok()) {
+      fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
       return 1;
     }
+    model = *loaded;
     const network::RoadNetwork* n = &net;
     const network::GridIndex* idx = &index;
     tiers.push_back({"LHMM", [n, idx, model] {

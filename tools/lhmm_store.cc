@@ -131,25 +131,18 @@ int Build(const std::map<std::string, std::string>& args) {
 
   const std::string model_path = Get(args, "model");
   if (!data.empty() && !model_path.empty()) {
-    // Same shell-then-load dance as lhmm_serve: the architecture comes from
-    // the default config, the weights from the trained file.
+    // Loaded exactly as lhmm_serve loads it: default architecture and config.
     L::TrainInputs inputs;
     inputs.net = &net;
     inputs.index = &index;
     inputs.num_towers = static_cast<int>(bundle.towers.size());
     inputs.train = &bundle.train;
-    L::LhmmConfig cfg;
-    cfg.obs_steps = 0;
-    cfg.trans_steps = 0;
-    cfg.fusion_steps = 0;
-    std::shared_ptr<L::LhmmModel> model = L::TrainLhmm(inputs, cfg);
-    model->config = L::LhmmConfig{};
-    const core::Status load = model->Load(model_path);
-    if (!load.ok()) {
-      fprintf(stderr, "error: %s\n", load.ToString().c_str());
+    auto model = L::LoadLhmm(inputs, model_path);
+    if (!model.ok()) {
+      fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
       return 1;
     }
-    w.AddSection(store::kSectionLhmm, store::EncodeLhmmWeights(*model));
+    w.AddSection(store::kSectionLhmm, store::EncodeLhmmWeights(**model));
     meta.emplace_back("model", model_path);
   }
   meta.emplace_back("nodes", std::to_string(net.num_nodes()));

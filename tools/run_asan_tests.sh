@@ -14,7 +14,7 @@ BUILD_DIR=build-asan
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 cmake -B "${BUILD_DIR}" -S . -DLHMM_SANITIZE=address
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robustness_test serve_test frame_test net_server_test supervisor_test durability_test env_fault_test io_test network_test hmm_test store_test lhmm_serve lhmm_loadgen
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test matchers_test stream_test robustness_test serve_test frame_test net_server_test supervisor_test durability_test env_fault_test io_test network_test hmm_test store_test lhmm_serve lhmm_loadgen
 
 # ASan aborts with a non-zero exit on the first bad access, so a plain run is
 # the assertion. The suite leans on the paths where lifetimes are trickiest:
@@ -34,10 +34,11 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target batch_test stream_test robust
 # env_fault_test and the chaos gauntlet additionally run the io::Env
 # fault-injection plane under the sanitizer: scheduled ENOSPC/EMFILE
 # storms, seal-and-rotate journal repair, and the degraded-nondurable
-# state machine's enter/exit transitions.
+# state machine's enter/exit transitions. matchers_test's IVMM oracle drives
+# the pinned voting DPs over the shared WeightMatrix/ViterbiColumn arenas.
 export ASAN_OPTIONS="halt_on_error=1:detect_stack_use_after_return=1"
 cd "${BUILD_DIR}"
-ctest --output-on-failure -R "ThreadPool|ParallelFor|CachedRouter|BatchDeterminism|StreamEngine" "$@"
+ctest --output-on-failure -R "ThreadPool|ParallelFor|CachedRouter|BatchDeterminism|StreamEngine|MatchersTest|IvmmOracleTest" "$@"
 ./tests/robustness_test
 ./tests/serve_test
 ./tests/frame_test

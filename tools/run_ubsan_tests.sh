@@ -14,7 +14,7 @@ BUILD_DIR=build-ubsan
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 cmake -B "${BUILD_DIR}" -S . -DLHMM_SANITIZE=undefined
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target core_test hmm_test io_test durability_test env_fault_test serve_test frame_test net_server_test supervisor_test store_test lhmm_serve lhmm_loadgen
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target core_test hmm_test matchers_test io_test durability_test env_fault_test serve_test frame_test net_server_test supervisor_test store_test lhmm_serve lhmm_loadgen
 
 # -fno-sanitize-recover=all makes the first UB finding abort, so a plain run
 # is the assertion. The suite leans on the paths where UB is likeliest: the
@@ -34,11 +34,14 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target core_test hmm_test io_test du
 # env_fault_test and the chaos gauntlet additionally run the io::Env
 # fault-injection plane under the sanitizer: scheduled ENOSPC/EMFILE
 # storms, seal-and-rotate journal repair, and the degraded-nondurable
-# state machine's enter/exit transitions.
+# state machine's enter/exit transitions. matchers_test's IVMM oracle
+# drives the pinned voting DPs' index arithmetic over the shared
+# WeightMatrix/ViterbiColumn arenas.
 export UBSAN_OPTIONS="print_stacktrace=1"
 cd "${BUILD_DIR}"
 ./tests/core_test
 ./tests/hmm_test
+./tests/matchers_test
 ./tests/io_test
 ./tests/durability_test
 ./tests/env_fault_test
